@@ -10,7 +10,6 @@
 //!   fails.
 //! * `memory_overhead.json` — safe-region bytes per live entry per
 //!   store organization, re-measured on the same dense population.
-//! * `value_traffic.json` — the compact slot size itself.
 //!
 //! * `defense_matrix.json` — the CPI-vs-PAC verdict table: RIPE
 //!   hijacked/detected counts per Levee mechanism at the recorded
@@ -51,7 +50,7 @@ use std::path::PathBuf;
 
 use levee_bench::drift::{
     check_counter_rows, check_engine_compare, check_memory_overhead, check_ripe_verdicts,
-    check_webserver_pool, check_webserver_reset, CounterRow, DriftCase, DriftReport, FreshCounters,
+    check_webserver_pool, check_webserver_reset, CounterRow, DriftReport, FreshCounters,
     DEFAULT_THRESHOLD_PCT,
 };
 use levee_bench::geometry::{dense_bytes_per_entry, DENSE_ENTRIES};
@@ -59,7 +58,6 @@ use levee_bench::json::Json;
 use levee_bench::kernels::KERNELS;
 use levee_core::{BuildConfig, Session, SessionPool};
 use levee_ripe::{all_attacks, evaluate, Profile};
-use levee_rt::SLOT_SIZE;
 use levee_vm::{StoreKind, VmConfig};
 use levee_workloads::{spec_suite, web_stack};
 
@@ -103,24 +101,6 @@ fn fresh_engine_counters() -> Vec<FreshCounters> {
         }
     }
     out
-}
-
-/// The slot-size gate off `value_traffic.json`: the recorded
-/// `compact_value_bytes` must equal the live `levee_rt::SLOT_SIZE`.
-fn check_value_traffic(baseline: &Json) -> DriftReport {
-    let mut report = DriftReport::default();
-    match baseline.get("compact_value_bytes").and_then(Json::as_f64) {
-        Some(b) => report.cases.push(DriftCase {
-            key: "value_traffic".into(),
-            metric: "slot_bytes".into(),
-            baseline: b,
-            current: SLOT_SIZE as f64,
-        }),
-        None => report
-            .errors
-            .push("value_traffic baseline: no compact_value_bytes".into()),
-    }
-    report
 }
 
 /// Shape-only check of the wall-clock baseline: it must parse and
@@ -188,14 +168,14 @@ fn fresh_pool_counters() -> Vec<(String, u64, u64)> {
     web_stack()
         .iter()
         .map(|w| {
-            let mut pool = SessionPool::builder()
+            let prototype = Session::builder()
                 .source(&w.source(1))
                 .name(w.name)
                 .protection(BuildConfig::Cpi)
                 .store(StoreKind::ArraySuperpage)
-                .workers(2)
                 .build()
                 .unwrap_or_else(|e| panic!("{}: page builds: {e}", w.name));
+            let mut pool = SessionPool::with_prototype(prototype, 2);
             let reports = pool.run_batch(std::iter::repeat_n(b"", 4));
             let first = &reports[0];
             for r in &reports[1..] {
@@ -409,10 +389,6 @@ fn main() {
     absorb(
         "memory_overhead",
         baseline("memory_overhead.json").map(|b| check_memory_overhead(&b, &geometry)),
-    );
-    absorb(
-        "value_traffic",
-        baseline("value_traffic.json").map(|b| check_value_traffic(&b)),
     );
     println!("re-measuring the PAC kernel lineup (both PAC modes)...");
     let pac_rows = fresh_pac_kernel_counters();

@@ -269,13 +269,13 @@ struct PoolThroughput {
 /// of sharded serving.
 fn serve_pool(w: &Workload, n: usize, workers: usize) -> Result<(f64, Vec<RunReport>), LeveeError> {
     let src = w.source(1);
-    let mut pool = SessionPool::builder()
+    let prototype = Session::builder()
         .source(&src)
         .name(w.name)
         .protection(BuildConfig::Cpi)
         .store(StoreKind::ArraySuperpage)
-        .workers(workers)
         .build()?;
+    let mut pool = SessionPool::with_prototype(prototype, workers);
     let t0 = Instant::now();
     let reports = pool.run_batch(std::iter::repeat_n(b"", n));
     Ok((t0.elapsed().as_secs_f64(), reports))

@@ -400,7 +400,6 @@ mod tests {
         for name in [
             "engine_compare.json",
             "memory_overhead.json",
-            "value_traffic.json",
             "webserver_throughput.json",
         ] {
             let path = format!("{}/baselines/{name}", env!("CARGO_MANIFEST_DIR"));

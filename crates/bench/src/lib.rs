@@ -1,7 +1,8 @@
 //! # levee-bench — the evaluation harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! experiment index and EXPERIMENTS.md for recorded results):
+//! One binary per table/figure of the paper (the README's "Benchmarks"
+//! section shows how to run them; recorded results live in
+//! `crates/bench/baselines/`):
 //!
 //! | binary | artifact |
 //! |---|---|
@@ -44,8 +45,8 @@ pub fn pct(x: f64) -> String {
 /// Shared command-line convention of every bench binary:
 /// `[-- [scale] [--json] [--profile]]`. `--json` selects the
 /// machine-readable report *and* the binary's quick profile (a small
-/// default scale), so CI's `bench-smoke` job can run all thirteen
-/// binaries on every push; an explicit scale always wins. `--profile`
+/// default scale), so CI's `bench-smoke` job can run every bench
+/// binary on every push; an explicit scale always wins. `--profile`
 /// turns on the VM's execution profiler and makes the binary print
 /// per-opcode/per-function attribution tables for its runs (simulated
 /// counters are bit-identical with the profiler on — see

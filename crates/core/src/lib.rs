@@ -55,7 +55,7 @@ pub mod session;
 pub mod stats;
 
 pub use driver::{build_module, build_source, BuildConfig, Built};
-pub use pool::{SessionPool, SessionPoolBuilder};
+pub use pool::SessionPool;
 pub use sensitivity::{FnFlow, Mode, Sensitivity};
 pub use session::{
     json_f64, json_str, LeveeError, RunReport, Session, SessionBuilder, DEFAULT_SEED,

@@ -24,14 +24,14 @@
 //! scheduling interleave (pinned by the `pool` proptest suite).
 //!
 //! ```
-//! use levee_core::{BuildConfig, SessionPool};
+//! use levee_core::{BuildConfig, Session, SessionPool};
 //!
-//! let mut pool = SessionPool::builder()
+//! let prototype = Session::builder()
 //!     .source("int main() { char b[16]; print_int(read_input(b, 15)); return 0; }")
 //!     .protection(BuildConfig::Cpi)
-//!     .workers(2)
 //!     .build()
 //!     .expect("valid mini-C");
+//! let mut pool = SessionPool::with_prototype(prototype, 2);
 //! let reports = pool.run_batch([b"ab".as_slice(), b"cdef", b""]);
 //! assert_eq!(reports.len(), 3);
 //! assert_eq!(reports[1].output, "4");
@@ -42,7 +42,7 @@ use std::thread::JoinHandle;
 
 use levee_vm::ResetStats;
 
-use crate::session::{LeveeError, RunReport, Session, SessionBuilder};
+use crate::session::{RunReport, Session};
 
 /// One unit of pool work: the request's position in its batch, the
 /// input bytes, and the channel the worker answers on.
@@ -73,17 +73,9 @@ pub struct SessionPool {
 }
 
 impl SessionPool {
-    /// Starts a fluent builder (a [`SessionBuilder`] plus
-    /// [`SessionPoolBuilder::workers`]).
-    pub fn builder() -> SessionPoolBuilder {
-        SessionPoolBuilder {
-            inner: Session::builder(),
-            workers: 1,
-        }
-    }
-
     /// Builds a pool of `workers` resident machines around an
-    /// already-built prototype session.
+    /// already-built prototype session (configure the program and VM
+    /// through [`Session::builder`]).
     ///
     /// The prototype is precompiled (so every fork shares the one-time
     /// bytecode-compilation cost), forked `workers - 1` times — each
@@ -201,95 +193,6 @@ impl Drop for SessionPool {
     }
 }
 
-/// Fluent constructor for [`SessionPool`]: every program/VM knob of
-/// [`SessionBuilder`], plus the worker count.
-pub struct SessionPoolBuilder {
-    inner: SessionBuilder,
-    workers: usize,
-}
-
-impl SessionPoolBuilder {
-    /// Number of resident worker machines (default 1; clamped to at
-    /// least 1).
-    pub fn workers(mut self, n: usize) -> Self {
-        self.workers = n;
-        self
-    }
-
-    /// See [`SessionBuilder::source`].
-    pub fn source(mut self, src: &str) -> Self {
-        self.inner = self.inner.source(src);
-        self
-    }
-
-    /// See [`SessionBuilder::name`].
-    pub fn name(mut self, name: &str) -> Self {
-        self.inner = self.inner.name(name);
-        self
-    }
-
-    /// See [`SessionBuilder::module`].
-    pub fn module(mut self, module: levee_ir::Module) -> Self {
-        self.inner = self.inner.module(module);
-        self
-    }
-
-    /// See [`SessionBuilder::protection`].
-    pub fn protection(mut self, config: crate::driver::BuildConfig) -> Self {
-        self.inner = self.inner.protection(config);
-        self
-    }
-
-    /// See [`SessionBuilder::store`].
-    pub fn store(mut self, store: levee_vm::StoreKind) -> Self {
-        self.inner = self.inner.store(store);
-        self
-    }
-
-    /// See [`SessionBuilder::engine`].
-    pub fn engine(mut self, engine: levee_vm::Engine) -> Self {
-        self.inner = self.inner.engine(engine);
-        self
-    }
-
-    /// See [`SessionBuilder::fusion`].
-    pub fn fusion(mut self, fusion: bool) -> Self {
-        self.inner = self.inner.fusion(fusion);
-        self
-    }
-
-    /// See [`SessionBuilder::seed`].
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.inner = self.inner.seed(seed);
-        self
-    }
-
-    /// See [`SessionBuilder::fuel`].
-    pub fn fuel(mut self, max_insts: u64) -> Self {
-        self.inner = self.inner.fuel(max_insts);
-        self
-    }
-
-    /// See [`SessionBuilder::vm_config`].
-    pub fn vm_config(mut self, config: levee_vm::VmConfig) -> Self {
-        self.inner = self.inner.vm_config(config);
-        self
-    }
-
-    /// See [`SessionBuilder::configure`].
-    pub fn configure(mut self, f: impl FnOnce(&mut levee_vm::VmConfig) + 'static) -> Self {
-        self.inner = self.inner.configure(f);
-        self
-    }
-
-    /// Compiles and protects the program once, then boots the workers
-    /// (see [`SessionPool::with_prototype`]).
-    pub fn build(self) -> Result<SessionPool, LeveeError> {
-        let prototype = self.inner.build()?;
-        Ok(SessionPool::with_prototype(prototype, self.workers))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,24 +214,23 @@ mod tests {
         (0..10u8).map(|i| vec![b'x'; i as usize]).collect()
     }
 
+    fn session(protection: BuildConfig) -> Session {
+        Session::builder()
+            .source(SRC)
+            .protection(protection)
+            .build()
+            .expect("builds")
+    }
+
     /// The determinism contract in miniature (the `pool` proptest
     /// generalizes it): pool reports are bit-identical to serial
     /// `run_batch` reports at every worker count, reset stats
-    /// included. Also part of the Miri CI subset: full pool lifecycle
-    /// — fork, cross-thread serving, teardown — under the aliasing
-    /// checker.
+    /// included.
     #[test]
     fn pool_reports_match_serial_at_every_worker_count() {
-        let build = || {
-            Session::builder()
-                .source(SRC)
-                .protection(BuildConfig::Cpi)
-                .build()
-                .expect("builds")
-        };
-        let serial = build().run_batch(inputs());
+        let serial = session(BuildConfig::Cpi).run_batch(inputs());
         for workers in [1, 2, 4] {
-            let mut pool = SessionPool::with_prototype(build(), workers);
+            let mut pool = SessionPool::with_prototype(session(BuildConfig::Cpi), workers);
             let pooled = pool.run_batch(inputs());
             assert_eq!(pooled.len(), serial.len());
             for (s, p) in serial.iter().zip(&pooled) {
@@ -342,11 +244,7 @@ mod tests {
 
     #[test]
     fn sharding_is_round_robin_and_reports_keep_input_order() {
-        let mut pool = SessionPool::builder()
-            .source(SRC)
-            .workers(3)
-            .build()
-            .expect("builds");
+        let mut pool = SessionPool::with_prototype(session(BuildConfig::Vanilla), 3);
         assert_eq!(pool.workers(), 3);
         let reports = pool.run_batch(inputs());
         for (i, r) in reports.iter().enumerate() {
@@ -361,22 +259,16 @@ mod tests {
 
     #[test]
     fn zero_workers_clamps_to_one() {
-        let mut pool = SessionPool::builder()
-            .source(SRC)
-            .workers(0)
-            .build()
-            .expect("builds");
+        let mut pool = SessionPool::with_prototype(session(BuildConfig::Vanilla), 0);
         assert_eq!(pool.workers(), 1);
         assert_eq!(pool.run_batch([b"ab"]).len(), 1);
     }
 
+    /// Part of the Miri CI subset: the full pool lifecycle — fork,
+    /// cross-thread serving, teardown — under the aliasing checker.
     #[test]
     fn empty_batches_and_sequential_batches_work() {
-        let mut pool = SessionPool::builder()
-            .source(SRC)
-            .workers(2)
-            .build()
-            .expect("builds");
+        let mut pool = SessionPool::with_prototype(session(BuildConfig::Vanilla), 2);
         assert!(pool.run_batch(Vec::<Vec<u8>>::new()).is_empty());
         let a = pool.run_batch([b"abc".as_slice()]);
         let b = pool.run_batch([b"abc".as_slice()]);

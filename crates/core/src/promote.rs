@@ -20,7 +20,7 @@
 //! Promotion runs for *every* build configuration, including the
 //! vanilla baseline, so comparisons stay fair.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use levee_ir::prelude::*;
 
@@ -35,8 +35,9 @@ pub fn promote_scalars(module: &mut Module) -> usize {
 }
 
 fn promote_in_function(func: &mut Function) -> usize {
-    // Candidates: single-element scalar allocas.
-    let mut candidates: HashMap<ValueId, Ty> = HashMap::new();
+    // Candidates: single-element scalar allocas, in ascending slot order
+    // so every build numbers the promoted cells alike.
+    let mut candidates: BTreeMap<ValueId, Ty> = BTreeMap::new();
     for inst in func.iter_insts() {
         if let Inst::Alloca {
             dest, ty, count: 1, ..

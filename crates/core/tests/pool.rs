@@ -45,13 +45,13 @@ proptest! {
             .expect("template builds")
             .run_batch(inputs.iter());
         for workers in [1usize, 2, 4] {
-            let mut pool = SessionPool::builder()
+            let prototype = Session::builder()
                 .source(&src)
                 .name("pool")
                 .protection(BuildConfig::Cpi)
-                .workers(workers)
                 .build()
                 .expect("template builds");
+            let mut pool = SessionPool::with_prototype(prototype, workers);
             let pooled = pool.run_batch(inputs.iter());
             prop_assert_eq!(pooled.len(), serial_reports.len());
             for (i, (p, s)) in pooled.iter().zip(&serial_reports).enumerate() {
@@ -85,13 +85,13 @@ proptest! {
             .build()
             .expect("template builds")
             .run_batch(inputs.iter().chain(inputs.iter()));
-        let mut pool = SessionPool::builder()
+        let prototype = Session::builder()
             .source(&src)
             .name("pool")
             .protection(BuildConfig::Cpi)
-            .workers(2)
             .build()
             .expect("template builds");
+        let mut pool = SessionPool::with_prototype(prototype, 2);
         let first = pool.run_batch(inputs.iter());
         let second = pool.run_batch(inputs.iter());
         for (i, (p, s)) in first.iter().chain(&second).zip(&serial_reports).enumerate() {
@@ -149,13 +149,13 @@ fn pac_pools_are_bit_identical_to_serial() {
             .iter()
             .any(|r| r.success() && r.exec.pac_auths > 0));
         for workers in [1usize, 2, 4] {
-            let mut pool = SessionPool::builder()
+            let prototype = Session::builder()
                 .source(src)
                 .name("pac-pool")
                 .protection(config)
-                .workers(workers)
                 .build()
                 .expect("template builds");
+            let mut pool = SessionPool::with_prototype(prototype, workers);
             let pooled = pool.run_batch(inputs);
             assert_eq!(pooled.len(), serial_reports.len());
             for (i, (p, s)) in pooled.iter().zip(&serial_reports).enumerate() {

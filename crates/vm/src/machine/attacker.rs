@@ -131,7 +131,7 @@ impl<'m> Machine<'m> {
         self.input = input.to_vec();
         self.input_pos = 0;
         let main = self.module.func_by_name("main").expect("main exists");
-        if let Err(trap) = self.enter_function(main, vec![], None, super::MAIN_RET_SENTINEL) {
+        if let Err(trap) = self.enter_main(main) {
             return super::RunOutcome {
                 status: crate::trap::ExitStatus::Trapped(trap),
                 stats: self.stats,

@@ -1,16 +1,26 @@
-//! The fast-dispatch engine: executes `levee-bc` bytecode.
+//! The fast-dispatch engine: a decoder of `levee-bc` bytecode over the
+//! op handlers.
 //!
-//! Semantics are bit-for-bit those of the step walker (`exec.rs`): the
-//! same helper methods perform the same memory accesses, checks and
-//! cost-model charges in the same order, so two runs of one module under
-//! the two engines produce identical traps, output **and cycle counts**
-//! — the differential suite in `tests/engines.rs` enforces this. What
-//! changes is the interpreter overhead per instruction: blocks are flat,
-//! jumps are pre-resolved word offsets, operands are direct register
-//! slots or constant-pool loads, and type sizes were computed at
-//! compile time.
+//! Each op's semantics — memory touches, checks, cycle charges, probe
+//! hooks — live once, in the handlers of `ops.rs` and `cpi.rs`, which
+//! the step walker (`exec.rs`) calls too. This loop only decodes words,
+//! writes registers, moves `pc` and charges the per-instruction base
+//! cost and fuel. Two runs of one module under the two engines therefore
+//! produce identical traps, output and cycle counts. The walker
+//! differential (`tests/engines.rs`, `tests/diff_fuzz.rs`) checks
+//! compilation, fusion and decoding; the exact `bench_drift` baselines
+//! pin the handlers' semantics. The speed comes from decoding: blocks
+//! are flat, jumps are pre-resolved word offsets, operands are direct
+//! register slots or constant-pool loads, and type sizes were computed
+//! at compile time.
 //!
-//! Two pieces of state are cached in locals across instructions and
+//! A superinstruction (emitted by `levee_bc::fuse`) runs its two
+//! constituents' handlers with `fuel_step!()` between them, standing in
+//! for the second constituent's dispatch: instruction counts, cycle
+//! totals, trap points (out-of-fuel between the halves included) and
+//! touch sequences equal the unfused pair's.
+//!
+//! Three pieces of state are cached in locals across instructions and
 //! synchronized at the points where other components can observe them:
 //!
 //! * `pc` mirrors `Frame::ip` (which, under this engine, holds the word
@@ -23,16 +33,20 @@
 //!   can touch frames: calls, returns, intrinsics. If a trap ends the
 //!   run mid-instruction the dead frame keeps its empty register file —
 //!   nothing reads registers after a run ends.
+//! * The instruction count and the per-instruction base cycle charge
+//!   accumulate in locals and are published to `stats` before every
+//!   handler that observes counters (probe hooks, frame push/pop) and
+//!   at every exit. Handlers charge `stats` directly, so totals at
+//!   every observation point equal the walker's.
 
 use levee_bc::{BcModule, Op, OPERAND_CONST_BIT};
 use levee_ir::prelude::*;
-use levee_rt::{Entry, MetaId};
 
-use crate::probe::TouchKind;
+use crate::probe::CheckSite;
 use crate::trap::{ExitStatus, Trap};
 
-use super::exec::{bin_meta, truncate};
-use super::{Machine, V};
+use super::ops::{cast, cmp, Callee};
+use super::{exit_status, Machine, V};
 
 /// Reads an operand word: a register slot or a constant-pool index.
 ///
@@ -52,6 +66,12 @@ unsafe fn ev(regs: &[V], consts: &[u64], word: u32) -> V {
         debug_assert!(idx < consts.len());
         V::int(*consts.get_unchecked(idx))
     }
+}
+
+/// Decodes a call's `dest+1` word.
+#[inline(always)]
+fn dest_reg(word: u32) -> Option<ValueId> {
+    (word != 0).then(|| ValueId(word - 1))
 }
 
 impl<'m> Machine<'m> {
@@ -96,20 +116,8 @@ impl<'m> Machine<'m> {
         let mut regs: Vec<V> = std::mem::take(&mut self.frame_mut().regs);
         let cost_inst = self.config.cost.inst;
         let max_insts = self.config.max_insts;
-        // Instruction and cycle counters accumulate in locals and flush
-        // to `self.stats` before every point where another component
-        // could observe them: helper calls (which add their own cycle
-        // charges) and every exit from the loop. Totals at observation
-        // points are therefore identical to the walk engine's.
         let mut insts_l = self.stats.insts;
         let mut cycles_l: u64 = 0;
-        let mut mem_ops_l: u64 = 0;
-        let cost_mem_hit = self.config.cost.mem_hit;
-        let cost_mem_miss = self.config.cost.mem_miss;
-        let cost_sfi = self.config.cost.sfi_mask;
-        let cost_pac_sign = self.config.cost.pac_sign;
-        let cost_pac_auth = self.config.cost.pac_auth;
-        let sfi = self.config.isolation == crate::config::Isolation::Sfi;
 
         // Re-caches function state after any control transfer that may
         // have switched frames (call, return, longjmp).
@@ -160,40 +168,21 @@ impl<'m> Machine<'m> {
         }
         macro_rules! wr {
             ($dest:expr, $v:expr) => {{
-                let d = $dest as usize;
+                let (d, v) = ($dest as usize, $v);
                 debug_assert!(d < regs.len());
-                unsafe { *regs.get_unchecked_mut(d) = $v };
+                unsafe { *regs.get_unchecked_mut(d) = v };
             }};
         }
-        // Publishes the locally-accumulated counters. (The resets are
+        // Publishes the locally-accumulated counters. (The reset is
         // dead when a flush directly precedes a return; the lint can't
         // see that only some expansions exit.)
         macro_rules! flush {
             () => {{
                 self.stats.insts = insts_l;
                 self.stats.cycles += cycles_l;
-                self.stats.mem_ops += mem_ops_l;
                 #[allow(unused_assignments)]
                 {
                     cycles_l = 0;
-                    mem_ops_l = 0;
-                }
-            }};
-        }
-        // Inline equivalent of `charge_mem` accumulating into the local
-        // cycle counter (identical charges, enforced by the engines
-        // differential suite). Kind/width only tag the touch log.
-        macro_rules! charge_mem_local {
-            ($addr:expr, $regular:expr, $kind:expr, $width:expr) => {{
-                cycles_l += cost_mem_hit;
-                if !self.cache.access($addr, $kind, $width) {
-                    cycles_l += cost_mem_miss;
-                }
-                if $regular && sfi {
-                    self.sfi_masked += 1;
-                    if self.sfi_masked % 3 == 0 {
-                        cycles_l += cost_sfi;
-                    }
                 }
             }};
         }
@@ -213,15 +202,61 @@ impl<'m> Machine<'m> {
                 }
             }};
         }
-        // Runs a fallible helper with counters published, converting a
-        // trap into the run's final status exactly like `run_loop`.
+        // Unwraps a handler's result; a trap publishes the counters and
+        // ends the run, exactly like `run_loop`.
+        macro_rules! tri {
+            ($e:expr) => {{
+                match $e {
+                    Ok(v) => v,
+                    Err(trap) => {
+                        flush!();
+                        return exit_status(trap);
+                    }
+                }
+            }};
+        }
+        // `tri!` for handlers that observe counters: publish first.
         macro_rules! bail {
             ($e:expr) => {{
                 flush!();
-                match $e {
-                    Ok(v) => v,
-                    Err(Trap::ProgramExit(code)) => return ExitStatus::Exited(code),
-                    Err(trap) => return ExitStatus::Trapped(trap),
+                tri!($e)
+            }};
+        }
+        // The tail of every call-shaped arm: `$n` is the offset of the
+        // `nargs` word, the argument words follow it. Moves the register
+        // file back into the caller's frame (whose resume point is past
+        // the arguments), lets the call handler fill the callee's file
+        // from those words and push its frame, then switches to it.
+        macro_rules! call {
+            ($callee:expr, dest: $d:expr, site: $s:expr, nargs: $n:expr) => {{
+                let callee = $callee;
+                let (dest, nargs) = (dest_reg(w!($d)), w!($n) as usize);
+                let ret_addr = self.ret_site(fidx as u32, w!($s));
+                let args = pc + $n + 1;
+                pc = args + nargs;
+                sync_frame!();
+                bail!(self.op_call(callee, ret_addr, dest, nargs, |m, out| {
+                    debug_assert!(pc <= code.len());
+                    // SAFETY: the validated call instruction holds `nargs`
+                    // operand words after its `nargs` word, and they index
+                    // the caller's register file — still the top frame's,
+                    // as the handler fills before pushing — or the pool.
+                    let words = unsafe { code.get_unchecked(args..pc) };
+                    let caller = &m.frame().regs;
+                    out.extend(words.iter().map(|&w| unsafe { ev(caller, consts, w) }));
+                }));
+                reload!();
+            }};
+        }
+        // An indirect callee: the raw target word plus the site's tabled
+        // signature and CFI annotation.
+        macro_rules! indirect {
+            ($target:expr, $sig:expr) => {{
+                let entry = &bc.sigs[$sig as usize];
+                Callee::Indirect {
+                    target: $target,
+                    sig: &entry.sig,
+                    cfi: entry.cfi,
                 }
             }};
         }
@@ -244,200 +279,61 @@ impl<'m> Machine<'m> {
 
             match op {
                 Op::Alloca => {
-                    let dest = w!(1);
-                    let size = cst!(w!(2));
-                    let stack = levee_bc::decode_stack(w!(3));
+                    let v = tri!(self.op_alloca(cst!(w!(2)), levee_bc::decode_stack(w!(3))));
+                    wr!(w!(1), v);
                     pc += 4;
-                    let addr = bail!(self.do_alloca(size, stack));
-                    let v = self.v_data(addr, addr, addr + size, 0);
-                    wr!(dest, v);
                 }
                 Op::Load => {
-                    let dest = w!(1);
-                    let addr = rd!(w!(2)).raw;
-                    let size = w!(3) as u64;
                     let space = levee_bc::decode_space(w!(4));
+                    let v = tri!(self.op_load(rd!(w!(2)).raw, w!(3) as u64, space));
+                    wr!(w!(1), v);
                     pc += 5;
-                    mem_ops_l += 1;
-                    bail!(self.isolation_check(addr, space));
-                    charge_mem_local!(
-                        addr,
-                        space == MemSpace::Regular,
-                        TouchKind::Read,
-                        size as u8
-                    );
-                    let raw = bail!(self.mem.read_uint(addr, size).map_err(Self::mem_trap));
-                    let meta = if space == MemSpace::SafeStack {
-                        match self.safe_stack_meta.get(&addr) {
-                            Some(&(spilled, m)) if spilled == raw => m,
-                            _ => MetaId::NONE,
-                        }
-                    } else {
-                        MetaId::NONE
-                    };
-                    wr!(dest, V { raw, meta });
                 }
                 Op::Store => {
-                    let addr = rd!(w!(1)).raw;
-                    let v = rd!(w!(2));
-                    let size = w!(3) as u64;
                     let space = levee_bc::decode_space(w!(4));
+                    tri!(self.op_store(rd!(w!(1)).raw, rd!(w!(2)), w!(3) as u64, space));
                     pc += 5;
-                    mem_ops_l += 1;
-                    if space == MemSpace::SafeStack {
-                        if v.meta.is_some() {
-                            self.safe_stack_meta.insert(addr, (v.raw, v.meta));
-                        } else {
-                            self.safe_stack_meta.remove(&addr);
-                        }
-                    }
-                    bail!(self.isolation_check(addr, space));
-                    charge_mem_local!(
-                        addr,
-                        space == MemSpace::Regular,
-                        TouchKind::Write,
-                        size as u8
-                    );
-                    bail!(self
-                        .mem
-                        .write_uint(addr, v.raw, size)
-                        .map_err(Self::mem_trap));
                 }
                 Op::Gep => {
-                    let dest = w!(1);
-                    let b = rd!(w!(2));
-                    let i = rd!(w!(3)).raw;
-                    let elem_size = cst!(w!(4));
-                    let offset = cst!(w!(5));
-                    let is_field = w!(6) != 0;
+                    let (b, i) = (rd!(w!(2)), rd!(w!(3)).raw);
+                    let v = self.op_gep(b, i, cst!(w!(4)), cst!(w!(5)), w!(6) != 0);
+                    wr!(w!(1), v);
                     pc += 7;
-                    let raw = b
-                        .raw
-                        .wrapping_add(i.wrapping_mul(elem_size))
-                        .wrapping_add(offset);
-                    // Derived pointers keep their provenance handle;
-                    // field selection narrows to the sub-object, which
-                    // is new provenance and interns a record.
-                    let meta = match self.meta.get(b.meta) {
-                        Some(prov) if is_field => {
-                            self.intern_prov(Entry::data(raw, raw, raw + elem_size, prov.id))
-                        }
-                        _ => b.meta,
-                    };
-                    wr!(dest, V { raw, meta });
                 }
                 Op::GlobalAddr => {
-                    let dest = w!(1);
-                    let gid = w!(2) as usize;
+                    wr!(w!(1), self.op_global_addr(w!(2) as usize));
                     pc += 3;
-                    let raw = self.global_addrs[gid];
-                    let meta = self.global_meta[gid];
-                    wr!(dest, V { raw, meta });
                 }
                 Op::FuncAddr => {
-                    let dest = w!(1);
-                    let fid = w!(2) as usize;
+                    wr!(w!(1), self.op_func_addr(w!(2) as usize));
                     pc += 3;
-                    let raw = self.func_addrs[fid];
-                    let meta = self.func_meta[fid];
-                    wr!(dest, V { raw, meta });
                 }
                 Op::Bin => {
-                    let dest = w!(1);
                     let op = levee_bc::decode_binop(w!(2));
-                    let a = rd!(w!(3));
-                    let b = rd!(w!(4));
+                    let v = tri!(self.op_bin(op, rd!(w!(3)), rd!(w!(4))));
+                    wr!(w!(1), v);
                     pc += 5;
-                    // Uncharged operators run inline; multiply/divide
-                    // carry cycle charges (and div traps), so they go
-                    // through the shared helper.
-                    let raw = match op {
-                        BinOp::Add => a.raw.wrapping_add(b.raw),
-                        BinOp::Sub => a.raw.wrapping_sub(b.raw),
-                        BinOp::And => a.raw & b.raw,
-                        BinOp::Or => a.raw | b.raw,
-                        BinOp::Xor => a.raw ^ b.raw,
-                        BinOp::Shl => a.raw.wrapping_shl(b.raw as u32),
-                        BinOp::Shr => a.raw.wrapping_shr(b.raw as u32),
-                        BinOp::Mul | BinOp::Div | BinOp::Rem => {
-                            bail!(self.eval_bin(op, a.raw, b.raw))
-                        }
-                    };
-                    let meta = bin_meta(op, a.meta, b.meta);
-                    wr!(dest, V { raw, meta });
                 }
                 Op::Cmp => {
-                    let dest = w!(1);
-                    let op = levee_bc::decode_cmpop(w!(2));
-                    let a = rd!(w!(3)).raw as i64;
-                    let b = rd!(w!(4)).raw as i64;
+                    let r = cmp(
+                        levee_bc::decode_cmpop(w!(2)),
+                        rd!(w!(3)).raw,
+                        rd!(w!(4)).raw,
+                    );
+                    wr!(w!(1), V::int(r as u64));
                     pc += 5;
-                    let r = match op {
-                        CmpOp::Eq => a == b,
-                        CmpOp::Ne => a != b,
-                        CmpOp::Lt => a < b,
-                        CmpOp::Le => a <= b,
-                        CmpOp::Gt => a > b,
-                        CmpOp::Ge => a >= b,
-                    };
-                    wr!(dest, V::int(r as u64));
                 }
                 Op::Cast => {
-                    let dest = w!(1);
-                    let kind = levee_bc::decode_cast(w!(2));
-                    let v = rd!(w!(3));
-                    let size = w!(4) as u64;
+                    let v = cast(levee_bc::decode_cast(w!(2)), rd!(w!(3)), w!(4) as u64);
+                    wr!(w!(1), v);
                     pc += 5;
-                    let out = match kind {
-                        CastKind::PtrToPtr | CastKind::PtrToInt | CastKind::IntToPtr => v,
-                        CastKind::IntToInt => V::int(truncate(v.raw, size)),
-                    };
-                    wr!(dest, out);
                 }
-                Op::Call => {
-                    let dest = w!(1);
-                    let func = FuncId(w!(2));
-                    let site = w!(3) as u64;
-                    let nargs = w!(4) as usize;
-                    // Descriptor-driven bulk frame push: the callee's
-                    // register file is filled straight from the caller's
-                    // operand words — no intermediate argument vector.
-                    let desc = self.frame_descs[func.0 as usize];
-                    debug_assert_eq!(nargs, desc.n_params as usize);
-                    let mut nregs = self.take_vec();
-                    nregs.extend((0..nargs).map(|i| rd!(w!(5 + i))));
-                    nregs.resize(desc.n_regs as usize, V::int(0));
-                    pc += 5 + nargs;
-                    sync_frame!();
-                    let ret_addr = self.func_addrs[fidx] + 16 * (site + 1);
-                    let dest = (dest != 0).then(|| ValueId(dest - 1));
-                    bail!(self.push_frame(func, desc, nregs, dest, ret_addr));
-                    reload!();
-                }
+                Op::Call => call!(Callee::Direct(FuncId(w!(2))), dest: 1, site: 3, nargs: 4),
                 Op::CallIndirect => {
-                    let dest = w!(1);
-                    let cv = rd!(w!(2));
-                    let sig_entry = &bc.sigs[w!(3) as usize];
-                    let site = w!(4) as u64;
-                    let nargs = w!(5) as usize;
-                    // Resolve (CFI check, goal semantics, arity) first;
-                    // once the callee is known its descriptor drives the
-                    // same direct register-file fill as a direct call.
-                    let func =
-                        bail!(self.resolve_indirect(cv.raw, &sig_entry.sig, sig_entry.cfi, nargs));
-                    let desc = self.frame_descs[func.0 as usize];
-                    let mut nregs = self.take_vec();
-                    nregs.extend((0..nargs).map(|i| rd!(w!(6 + i))));
-                    nregs.resize(desc.n_regs as usize, V::int(0));
-                    pc += 6 + nargs;
-                    sync_frame!();
-                    let ret_addr = self.func_addrs[fidx] + 16 * (site + 1);
-                    let dest = (dest != 0).then(|| ValueId(dest - 1));
-                    bail!(self.push_frame(func, desc, nregs, dest, ret_addr));
-                    reload!();
+                    call!(indirect!(rd!(w!(2)).raw, w!(3)), dest: 1, site: 4, nargs: 5)
                 }
                 Op::IntrinsicCall => {
-                    let dest = w!(1);
+                    let dest = dest_reg(w!(1));
                     let which = levee_bc::decode_intrinsic(w!(2));
                     let nargs = w!(3) as usize;
                     let mut argv = self.take_vec();
@@ -446,111 +342,52 @@ impl<'m> Machine<'m> {
                     // Sync the resume point: setjmp captures it, longjmp
                     // rewrites it, and the intrinsic may write dest.
                     sync_frame!();
-                    let dest = (dest != 0).then(|| ValueId(dest - 1));
                     bail!(self.exec_intrinsic(which, argv, dest));
                     reload!();
                 }
                 Op::PtrStore => {
                     let policy = levee_bc::decode_policy(w!(1));
-                    let addr = rd!(w!(2)).raw;
-                    let v = rd!(w!(3));
-                    let universal = w!(4) != 0;
+                    let (addr, v) = (rd!(w!(2)).raw, rd!(w!(3)));
+                    bail!(self.op_ptr_store(policy, addr, v, w!(4) != 0));
                     pc += 5;
-                    self.stats.cpi_mem_ops += 1;
-                    bail!(self.ptr_store(policy, addr, v, universal));
                 }
                 Op::PtrLoad => {
                     let policy = levee_bc::decode_policy(w!(1));
-                    let dest = w!(2);
-                    let addr = rd!(w!(3)).raw;
-                    let universal = w!(4) != 0;
+                    let v = bail!(self.op_ptr_load(policy, rd!(w!(3)).raw));
+                    wr!(w!(2), v);
                     pc += 5;
-                    self.stats.cpi_mem_ops += 1;
-                    let v = bail!(self.ptr_load(policy, addr, universal));
-                    wr!(dest, v);
                 }
                 Op::Check => {
                     let policy = levee_bc::decode_policy(w!(1));
-                    let v = rd!(w!(2));
-                    let size = cst!(w!(3));
-                    let site_pc = pc as u32;
+                    let site = CheckSite::Bc(fidx as u32, pc as u32);
+                    bail!(self.op_check(rd!(w!(2)), cst!(w!(3)), policy, site));
                     pc += 4;
-                    flush!();
-                    self.probe_check_attempt_bc(fidx as u32, site_pc);
-                    self.charge_check();
-                    bail!(self.cpi_check(v, size, policy));
-                    self.probe_check_pass_bc(fidx as u32, site_pc);
                 }
                 Op::FnCheck => {
                     let policy = levee_bc::decode_policy(w!(1));
-                    let v = rd!(w!(2));
-                    let site_pc = pc as u32;
+                    let site = CheckSite::Bc(fidx as u32, pc as u32);
+                    bail!(self.op_fncheck(rd!(w!(2)), policy, site));
                     pc += 3;
-                    flush!();
-                    self.probe_check_attempt_bc(fidx as u32, site_pc);
-                    self.charge_check();
-                    match self.meta.get(v.meta) {
-                        Some(prov) if prov.authorizes_code(v.raw) => {
-                            self.probe_check_pass_bc(fidx as u32, site_pc);
-                        }
-                        _ => {
-                            return ExitStatus::Trapped(self.violation(
-                                policy,
-                                crate::trap::CpiViolationKind::NotACodePointer,
-                                v.raw,
-                            ))
-                        }
-                    }
                 }
                 Op::SafeMemcpy => {
-                    let d = rd!(w!(2)).raw;
-                    let s = rd!(w!(3)).raw;
-                    let n = rd!(w!(4)).raw;
-                    let moving = w!(5) != 0;
+                    let (d, s, n) = (rd!(w!(2)).raw, rd!(w!(3)).raw, rd!(w!(4)).raw);
+                    bail!(self.op_safe_memcpy(d, s, n));
                     pc += 6;
-                    bail!(self.bulk_copy(d, s, n, moving));
-                    let (copied, t) = self.store.copy_range(d, s, n);
-                    self.charge_store_touches(t, TouchKind::Write);
-                    self.stats.cycles += (n / 8) * self.config.cost.store_op + copied;
                 }
                 Op::SafeMemset => {
-                    let d = rd!(w!(2)).raw;
-                    let b = rd!(w!(3)).raw as u8;
-                    let n = rd!(w!(4)).raw;
+                    let (d, b, n) = (rd!(w!(2)).raw, rd!(w!(3)).raw, rd!(w!(4)).raw);
+                    bail!(self.op_safe_memset(d, b as u8, n));
                     pc += 5;
-                    bail!(self.bulk_fill(d, b, n));
-                    let t = self.store.clear_range(d, n);
-                    self.charge_store_touches(t, TouchKind::Write);
-                    self.stats.cycles += (n / 8) * self.config.cost.store_op;
                 }
                 Op::PacSign => {
-                    let dest = w!(1);
-                    let v = rd!(w!(2));
-                    let c = rd!(w!(3)).raw;
+                    let v = self.op_pac_sign(rd!(w!(2)), rd!(w!(3)).raw);
+                    wr!(w!(1), v);
                     pc += 4;
-                    // Same charge/count order as `charge_pac_sign` in
-                    // the walker's `exec_cpi` arm; the cycle lands in
-                    // the local accumulator like every inline charge.
-                    self.stats.pac_signs += 1;
-                    cycles_l += cost_pac_sign;
-                    let sealed = self.pac_seal(v.raw, c);
-                    wr!(
-                        dest,
-                        V {
-                            raw: sealed,
-                            meta: v.meta
-                        }
-                    );
                 }
                 Op::PacAuth => {
-                    let dest = w!(1);
-                    let v = rd!(w!(2));
-                    let c = rd!(w!(3)).raw;
+                    let v = tri!(self.op_pac_auth(rd!(w!(2)), rd!(w!(3)).raw));
+                    wr!(w!(1), v);
                     pc += 4;
-                    self.stats.pac_auths += 1;
-                    cycles_l += cost_pac_auth;
-                    let raw = bail!(self.pac_auth_val(v.raw, c));
-                    wr!(dest, V { raw, meta: v.meta });
                 }
                 Op::Jump => {
                     pc = w!(1) as usize;
@@ -569,251 +406,83 @@ impl<'m> Machine<'m> {
                     // re-taken below.
                     let spent = std::mem::take(&mut regs);
                     self.recycle_vec(spent);
-                    match self.do_return(value) {
-                        Ok(Some(exit)) => return exit,
-                        Ok(None) => reload!(),
-                        Err(Trap::ProgramExit(c)) => return ExitStatus::Exited(c),
-                        Err(trap) => return ExitStatus::Trapped(trap),
+                    if let Some(exit) = tri!(self.do_return(value)) {
+                        return exit;
                     }
+                    reload!();
                 }
                 Op::Unreachable => {
                     flush!();
                     return ExitStatus::Trapped(Trap::Unreachable);
                 }
-                // ---- superinstructions (emitted by `levee_bc::fuse`) ----
-                //
-                // Each arm is its two constituent arms spliced together:
-                // same register writes, same helper calls, same charge
-                // order, with `fuel_step!()` between them standing in
-                // for the second constituent's dispatch. Only the fetch/
-                // decode overhead of the second instruction disappears.
+                // ---- superinstructions: constituent, fuel, constituent ----
                 Op::CmpBr => {
-                    let dest = w!(1);
-                    let op = levee_bc::decode_cmpop(w!(2));
-                    let a = rd!(w!(3)).raw as i64;
-                    let b = rd!(w!(4)).raw as i64;
-                    let r = match op {
-                        CmpOp::Eq => a == b,
-                        CmpOp::Ne => a != b,
-                        CmpOp::Lt => a < b,
-                        CmpOp::Le => a <= b,
-                        CmpOp::Gt => a > b,
-                        CmpOp::Ge => a >= b,
-                    };
-                    wr!(dest, V::int(r as u64));
+                    let r = cmp(
+                        levee_bc::decode_cmpop(w!(2)),
+                        rd!(w!(3)).raw,
+                        rd!(w!(4)).raw,
+                    );
+                    wr!(w!(1), V::int(r as u64));
                     fuel_step!();
                     pc = if r { w!(5) } else { w!(6) } as usize;
                 }
                 Op::GepLoad => {
-                    let gdest = w!(1);
-                    let b = rd!(w!(2));
-                    let i = rd!(w!(3)).raw;
-                    let elem_size = cst!(w!(4));
-                    let offset = cst!(w!(5));
-                    let is_field = w!(6) != 0;
-                    let ldest = w!(7);
-                    let size = w!(8) as u64;
-                    let space = levee_bc::decode_space(w!(9));
-                    pc += 10;
-                    let addr = b
-                        .raw
-                        .wrapping_add(i.wrapping_mul(elem_size))
-                        .wrapping_add(offset);
-                    let meta = match self.meta.get(b.meta) {
-                        Some(prov) if is_field => {
-                            self.intern_prov(Entry::data(addr, addr, addr + elem_size, prov.id))
-                        }
-                        _ => b.meta,
-                    };
-                    wr!(gdest, V { raw: addr, meta });
+                    let (b, i) = (rd!(w!(2)), rd!(w!(3)).raw);
+                    let g = self.op_gep(b, i, cst!(w!(4)), cst!(w!(5)), w!(6) != 0);
+                    wr!(w!(1), g);
                     fuel_step!();
-                    mem_ops_l += 1;
-                    bail!(self.isolation_check(addr, space));
-                    charge_mem_local!(
-                        addr,
-                        space == MemSpace::Regular,
-                        TouchKind::Read,
-                        size as u8
-                    );
-                    let raw = bail!(self.mem.read_uint(addr, size).map_err(Self::mem_trap));
-                    let meta = if space == MemSpace::SafeStack {
-                        match self.safe_stack_meta.get(&addr) {
-                            Some(&(spilled, m)) if spilled == raw => m,
-                            _ => MetaId::NONE,
-                        }
-                    } else {
-                        MetaId::NONE
-                    };
-                    wr!(ldest, V { raw, meta });
+                    let space = levee_bc::decode_space(w!(9));
+                    let v = tri!(self.op_load(g.raw, w!(8) as u64, space));
+                    wr!(w!(7), v);
+                    pc += 10;
                 }
                 Op::GepStore => {
-                    let gdest = w!(1);
-                    let b = rd!(w!(2));
-                    let i = rd!(w!(3)).raw;
-                    let elem_size = cst!(w!(4));
-                    let offset = cst!(w!(5));
-                    let is_field = w!(6) != 0;
-                    let addr = b
-                        .raw
-                        .wrapping_add(i.wrapping_mul(elem_size))
-                        .wrapping_add(offset);
-                    let meta = match self.meta.get(b.meta) {
-                        Some(prov) if is_field => {
-                            self.intern_prov(Entry::data(addr, addr, addr + elem_size, prov.id))
-                        }
-                        _ => b.meta,
-                    };
-                    wr!(gdest, V { raw: addr, meta });
+                    let (b, i) = (rd!(w!(2)), rd!(w!(3)).raw);
+                    let g = self.op_gep(b, i, cst!(w!(4)), cst!(w!(5)), w!(6) != 0);
+                    wr!(w!(1), g);
                     fuel_step!();
                     // Value read after the gep dest write, exactly like
                     // the unfused store (the value may *be* that register).
-                    let v = rd!(w!(7));
-                    let size = w!(8) as u64;
                     let space = levee_bc::decode_space(w!(9));
+                    tri!(self.op_store(g.raw, rd!(w!(7)), w!(8) as u64, space));
                     pc += 10;
-                    mem_ops_l += 1;
-                    if space == MemSpace::SafeStack {
-                        if v.meta.is_some() {
-                            self.safe_stack_meta.insert(addr, (v.raw, v.meta));
-                        } else {
-                            self.safe_stack_meta.remove(&addr);
-                        }
-                    }
-                    bail!(self.isolation_check(addr, space));
-                    charge_mem_local!(
-                        addr,
-                        space == MemSpace::Regular,
-                        TouchKind::Write,
-                        size as u8
-                    );
-                    bail!(self
-                        .mem
-                        .write_uint(addr, v.raw, size)
-                        .map_err(Self::mem_trap));
                 }
                 Op::CheckLoad => {
-                    let policy = levee_bc::decode_policy(w!(1));
-                    let pv = rd!(w!(2));
-                    let size = cst!(w!(3));
-                    let ldest = w!(4);
-                    let lsize = w!(5) as u64;
-                    let space = levee_bc::decode_space(w!(6));
-                    let site_pc = pc as u32;
-                    pc += 7;
-                    flush!();
-                    self.probe_check_attempt_bc(fidx as u32, site_pc);
-                    self.charge_check();
-                    bail!(self.cpi_check(pv, size, policy));
-                    self.probe_check_pass_bc(fidx as u32, site_pc);
+                    let (policy, p) = (levee_bc::decode_policy(w!(1)), rd!(w!(2)));
+                    let site = CheckSite::Bc(fidx as u32, pc as u32);
+                    bail!(self.op_check(p, cst!(w!(3)), policy, site));
                     fuel_step!();
-                    let addr = pv.raw;
-                    mem_ops_l += 1;
-                    bail!(self.isolation_check(addr, space));
-                    charge_mem_local!(
-                        addr,
-                        space == MemSpace::Regular,
-                        TouchKind::Read,
-                        lsize as u8
-                    );
-                    let raw = bail!(self.mem.read_uint(addr, lsize).map_err(Self::mem_trap));
-                    let meta = if space == MemSpace::SafeStack {
-                        match self.safe_stack_meta.get(&addr) {
-                            Some(&(spilled, m)) if spilled == raw => m,
-                            _ => MetaId::NONE,
-                        }
-                    } else {
-                        MetaId::NONE
-                    };
-                    wr!(ldest, V { raw, meta });
+                    let space = levee_bc::decode_space(w!(6));
+                    let v = tri!(self.op_load(p.raw, w!(5) as u64, space));
+                    wr!(w!(4), v);
+                    pc += 7;
                 }
                 Op::CheckPtrLoad => {
-                    let policy = levee_bc::decode_policy(w!(1));
-                    let pv = rd!(w!(2));
-                    let size = cst!(w!(3));
-                    let dest = w!(4);
-                    let universal = w!(5) != 0;
-                    let site_pc = pc as u32;
-                    pc += 6;
-                    flush!();
-                    self.probe_check_attempt_bc(fidx as u32, site_pc);
-                    self.charge_check();
-                    bail!(self.cpi_check(pv, size, policy));
-                    self.probe_check_pass_bc(fidx as u32, site_pc);
+                    let (policy, p) = (levee_bc::decode_policy(w!(1)), rd!(w!(2)));
+                    let site = CheckSite::Bc(fidx as u32, pc as u32);
+                    bail!(self.op_check(p, cst!(w!(3)), policy, site));
                     fuel_step!();
-                    self.stats.cpi_mem_ops += 1;
-                    let v = bail!(self.ptr_load(policy, pv.raw, universal));
-                    wr!(dest, v);
+                    let v = bail!(self.op_ptr_load(policy, p.raw));
+                    wr!(w!(4), v);
+                    pc += 6;
                 }
                 Op::CheckedCall => {
-                    let policy = levee_bc::decode_policy(w!(1));
-                    let dest = w!(2);
-                    let cv = rd!(w!(3));
-                    let sig_entry = &bc.sigs[w!(4) as usize];
-                    let site = w!(5) as u64;
-                    let nargs = w!(6) as usize;
-                    let site_pc = pc as u32;
-                    flush!();
-                    self.probe_check_attempt_bc(fidx as u32, site_pc);
-                    self.charge_check();
-                    match self.meta.get(cv.meta) {
-                        Some(prov) if prov.authorizes_code(cv.raw) => {
-                            self.probe_check_pass_bc(fidx as u32, site_pc);
-                        }
-                        _ => {
-                            return ExitStatus::Trapped(self.violation(
-                                policy,
-                                crate::trap::CpiViolationKind::NotACodePointer,
-                                cv.raw,
-                            ))
-                        }
-                    }
+                    let (policy, callee) = (levee_bc::decode_policy(w!(1)), rd!(w!(3)));
+                    let site = CheckSite::Bc(fidx as u32, pc as u32);
+                    bail!(self.op_fncheck(callee, policy, site));
                     fuel_step!();
-                    let func =
-                        bail!(self.resolve_indirect(cv.raw, &sig_entry.sig, sig_entry.cfi, nargs));
-                    let desc = self.frame_descs[func.0 as usize];
-                    let mut nregs = self.take_vec();
-                    nregs.extend((0..nargs).map(|i| rd!(w!(7 + i))));
-                    nregs.resize(desc.n_regs as usize, V::int(0));
-                    pc += 7 + nargs;
-                    sync_frame!();
-                    let ret_addr = self.func_addrs[fidx] + 16 * (site + 1);
-                    let dest = (dest != 0).then(|| ValueId(dest - 1));
-                    bail!(self.push_frame(func, desc, nregs, dest, ret_addr));
-                    reload!();
+                    call!(indirect!(callee.raw, w!(4)), dest: 2, site: 5, nargs: 6)
                 }
                 Op::AuthCall => {
                     // PacAuth constituent: authenticate the sealed
                     // callee and land the raw pointer in the auth dest
                     // register (the call's callee operand, per the
                     // fusion condition) — the software analogue of
-                    // ARMv8.3's `blraa`.
-                    let adest = w!(1);
-                    let av = rd!(w!(2));
-                    let actx = rd!(w!(3)).raw;
-                    self.stats.pac_auths += 1;
-                    cycles_l += cost_pac_auth;
-                    let raw = bail!(self.pac_auth_val(av.raw, actx));
-                    let cv = V { raw, meta: av.meta };
-                    wr!(adest, cv);
+                    // ARMv8.3's `blraa` — then call through it.
+                    let callee = tri!(self.op_pac_auth(rd!(w!(2)), rd!(w!(3)).raw));
+                    wr!(w!(1), callee);
                     fuel_step!();
-                    // CallIndirect constituent, reading the callee it
-                    // just authenticated.
-                    let dest = w!(4);
-                    let sig_entry = &bc.sigs[w!(5) as usize];
-                    let site = w!(6) as u64;
-                    let nargs = w!(7) as usize;
-                    let func =
-                        bail!(self.resolve_indirect(cv.raw, &sig_entry.sig, sig_entry.cfi, nargs));
-                    let desc = self.frame_descs[func.0 as usize];
-                    let mut nregs = self.take_vec();
-                    nregs.extend((0..nargs).map(|i| rd!(w!(8 + i))));
-                    nregs.resize(desc.n_regs as usize, V::int(0));
-                    pc += 8 + nargs;
-                    sync_frame!();
-                    let ret_addr = self.func_addrs[fidx] + 16 * (site + 1);
-                    let dest = (dest != 0).then(|| ValueId(dest - 1));
-                    bail!(self.push_frame(func, desc, nregs, dest, ret_addr));
-                    reload!();
+                    call!(indirect!(callee.raw, w!(5)), dest: 4, site: 6, nargs: 7)
                 }
             }
         }

@@ -14,6 +14,7 @@ use crate::layout;
 use crate::probe::TouchKind;
 use crate::trap::{ExitStatus, Trap};
 
+use super::ops::Callee;
 use super::{Frame, Machine, SetjmpCtx, MAIN_RET_SENTINEL, V};
 
 /// What a resolved indirect transfer may legitimately be.
@@ -28,28 +29,11 @@ pub(crate) enum TransferKind {
 }
 
 impl<'m> Machine<'m> {
-    /// Pushes a frame for `func` from an argument vector: builds the
-    /// register file per the frame descriptor's move plan, then
-    /// delegates to [`Machine::push_frame`]. (The engines' hot call
-    /// paths fill the register file directly and skip this wrapper.)
-    pub(crate) fn enter_function(
-        &mut self,
-        func: FuncId,
-        args: Vec<V>,
-        caller_dest: Option<ValueId>,
-        ret_addr: u64,
-    ) -> Result<(), Trap> {
-        let desc = self.frame_descs[func.0 as usize];
-        assert_eq!(
-            args.len(),
-            desc.n_params as usize,
-            "verifier guarantees call arity"
-        );
-        let mut regs = self.take_vec();
-        regs.extend_from_slice(&args);
-        regs.resize(desc.n_regs as usize, V::int(0));
-        self.recycle_vec(args);
-        self.push_frame(func, desc, regs, caller_dest, ret_addr)
+    /// Pushes `main`'s frame, returning to the exit sentinel.
+    pub(crate) fn enter_main(&mut self, main: FuncId) -> Result<(), Trap> {
+        let desc = self.frame_descs[main.0 as usize];
+        assert_eq!(desc.n_params, 0, "main takes no arguments");
+        self.op_call(Callee::Direct(main), MAIN_RET_SENTINEL, None, 0, |_, _| {})
     }
 
     /// The descriptor-driven frame push shared by both engines: charges
@@ -485,7 +469,7 @@ impl<'m> Machine<'m> {
         Ok(())
     }
 
-    fn check_stack_space(&self) -> Result<(), Trap> {
+    pub(crate) fn check_stack_space(&self) -> Result<(), Trap> {
         if self.sp < self.layout.stack_top - layout::STACK_LIMIT + 4096 {
             return Err(Trap::StackOverflow);
         }
@@ -493,28 +477,6 @@ impl<'m> Machine<'m> {
             return Err(Trap::StackOverflow);
         }
         Ok(())
-    }
-
-    /// Allocates stack storage for an alloca per its stack kind.
-    pub(crate) fn do_alloca(&mut self, size: u64, stack: StackKind) -> Result<u64, Trap> {
-        let aligned = crate::ctx_align(size.max(1), 8);
-        let addr = match stack {
-            StackKind::Conventional => {
-                self.sp -= aligned;
-                self.check_stack_space()?;
-                self.sp
-            }
-            StackKind::Safe => {
-                self.safe_sp -= aligned;
-                self.safe_sp
-            }
-            StackKind::Unsafe => {
-                self.unsafe_sp -= aligned;
-                self.check_stack_space()?;
-                self.unsafe_sp
-            }
-        };
-        Ok(addr)
     }
 
     /// Is an address on one of the attacker-reachable stacks? (Exposed

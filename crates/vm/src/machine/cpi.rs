@@ -1,134 +1,16 @@
-//! Execution of the instrumentation intrinsics (§3.2.2's runtime ops).
+//! The handlers of the instrumentation ops (§3.2.2's runtime ops, plus
+//! the PAC family's sign/auth). Like the core handlers in `ops.rs`,
+//! each takes decoded operands from either engine's decoder.
 
 use levee_ir::prelude::*;
 use levee_rt::Slot;
 
-use crate::probe::TouchKind;
+use crate::probe::{CheckSite, TouchKind};
 use crate::trap::{CpiViolationKind, Trap};
 
 use super::{Machine, V};
 
 impl<'m> Machine<'m> {
-    pub(crate) fn exec_cpi(&mut self, op: &CpiOp) -> Result<(), Trap> {
-        match op {
-            CpiOp::PtrStore {
-                policy,
-                ptr,
-                value,
-                universal,
-            } => {
-                let addr = self.eval(*ptr).raw;
-                let v = self.eval(*value);
-                self.stats.cpi_mem_ops += 1;
-                self.ptr_store(*policy, addr, v, *universal)
-            }
-            CpiOp::PtrLoad {
-                policy,
-                dest,
-                ptr,
-                universal,
-            } => {
-                let addr = self.eval(*ptr).raw;
-                self.stats.cpi_mem_ops += 1;
-                let v = self.ptr_load(*policy, addr, *universal)?;
-                self.set_reg(*dest, v);
-                Ok(())
-            }
-            CpiOp::Check { policy, ptr, size } => {
-                let v = self.eval(*ptr);
-                // Check-site key: ip was already advanced past this
-                // instruction, so the site is at ip - 1.
-                let site = self.probe.is_some().then(|| self.current_site_key());
-                if let Some(key) = site {
-                    self.probe_check_attempt_ir(key);
-                }
-                self.charge_check();
-                self.cpi_check(v, *size, *policy)?;
-                if let Some(key) = site {
-                    self.probe_check_pass_ir(key);
-                }
-                Ok(())
-            }
-            CpiOp::FnCheck { policy, callee } => {
-                let v = self.eval(*callee);
-                let site = self.probe.is_some().then(|| self.current_site_key());
-                if let Some(key) = site {
-                    self.probe_check_attempt_ir(key);
-                }
-                self.charge_check();
-                match self.meta.get(v.meta) {
-                    Some(prov) if prov.authorizes_code(v.raw) => {
-                        if let Some(key) = site {
-                            self.probe_check_pass_ir(key);
-                        }
-                        Ok(())
-                    }
-                    _ => Err(self.violation(*policy, CpiViolationKind::NotACodePointer, v.raw)),
-                }
-            }
-            CpiOp::SafeMemcpy {
-                policy: _,
-                dst,
-                src,
-                len,
-                moving,
-            } => {
-                let d = self.eval(*dst).raw;
-                let s = self.eval(*src).raw;
-                let n = self.eval(*len).raw;
-                // Regular bytes move as usual…
-                self.bulk_copy(d, s, n, *moving)?;
-                // …and the safe store transfers compact slots word by
-                // word — plain (word, handle) moves, but still the path
-                // §5.2 attributes memcpy overhead to.
-                let (copied, t) = self.store.copy_range(d, s, n);
-                self.charge_store_touches(t, TouchKind::Write);
-                self.stats.cycles += (n / 8) * self.config.cost.store_op + copied;
-                Ok(())
-            }
-            CpiOp::SafeMemset {
-                policy: _,
-                dst,
-                byte,
-                len,
-            } => {
-                let d = self.eval(*dst).raw;
-                let b = self.eval(*byte).raw as u8;
-                let n = self.eval(*len).raw;
-                self.bulk_fill(d, b, n)?;
-                let t = self.store.clear_range(d, n);
-                self.charge_store_touches(t, TouchKind::Write);
-                self.stats.cycles += (n / 8) * self.config.cost.store_op;
-                Ok(())
-            }
-            CpiOp::PacSign { dest, value, ctx } => {
-                let v = self.eval(*value);
-                let c = self.eval(*ctx).raw;
-                self.charge_pac_sign();
-                let sealed = self.pac_seal(v.raw, c);
-                // The sealed word keeps its provenance handle: sealing
-                // changes representation, not what the pointer is based
-                // on (and the handle never reaches regular memory).
-                self.set_reg(
-                    *dest,
-                    V {
-                        raw: sealed,
-                        meta: v.meta,
-                    },
-                );
-                Ok(())
-            }
-            CpiOp::PacAuth { dest, value, ctx } => {
-                let v = self.eval(*value);
-                let c = self.eval(*ctx).raw;
-                self.charge_pac_auth();
-                let raw = self.pac_auth_val(v.raw, c)?;
-                self.set_reg(*dest, V { raw, meta: v.meta });
-                Ok(())
-            }
-        }
-    }
-
     /// Maps a violation to the policy's trap flavour.
     pub(crate) fn violation(&self, policy: Policy, kind: CpiViolationKind, addr: u64) -> Trap {
         match policy {
@@ -137,19 +19,49 @@ impl<'m> Machine<'m> {
         }
     }
 
-    /// Bounds (+ optional temporal) check of a sensitive dereference.
-    /// Bounds and temporal id come straight off the interned provenance
-    /// record; the pointer word being checked is `v.raw`.
-    pub(crate) fn cpi_check(&mut self, v: V, size: u64, policy: Policy) -> Result<(), Trap> {
-        let Some(prov) = self.meta.get(v.meta) else {
-            return Err(self.violation(policy, CpiViolationKind::Bounds, v.raw));
+    /// `check`: the bounds (+ optional temporal) check of a sensitive
+    /// dereference of `size` bytes through `v`. Bounds and temporal id
+    /// come straight off the interned provenance record; the pointer
+    /// word being checked is `v.raw`.
+    #[inline(always)]
+    pub(crate) fn op_check(
+        &mut self,
+        v: V,
+        size: u64,
+        policy: Policy,
+        site: CheckSite,
+    ) -> Result<(), Trap> {
+        self.probe_check_attempt(site);
+        self.charge_check();
+        let failed = match self.meta.get(v.meta) {
+            Some(prov) if !prov.allows_access(v.raw, size) => Some(CpiViolationKind::Bounds),
+            Some(prov) if self.config.temporal && prov.id != 0 && self.heap.id_is_dead(prov.id) => {
+                Some(CpiViolationKind::Temporal)
+            }
+            Some(_) => None,
+            None => Some(CpiViolationKind::Bounds),
         };
-        if !prov.allows_access(v.raw, size) {
-            return Err(self.violation(policy, CpiViolationKind::Bounds, v.raw));
+        if let Some(kind) = failed {
+            return Err(self.violation(policy, kind, v.raw));
         }
-        if self.config.temporal && prov.id != 0 && self.heap.id_is_dead(prov.id) {
-            return Err(self.violation(policy, CpiViolationKind::Temporal, v.raw));
+        self.probe_check_pass(site);
+        Ok(())
+    }
+
+    /// `fn_check`: `v` must carry live code provenance for exactly its
+    /// word (§3.3's exact-match rule for code pointers).
+    #[inline(always)]
+    pub(crate) fn op_fncheck(&mut self, v: V, policy: Policy, site: CheckSite) -> Result<(), Trap> {
+        self.probe_check_attempt(site);
+        self.charge_check();
+        if !self
+            .meta
+            .get(v.meta)
+            .is_some_and(|prov| prov.authorizes_code(v.raw))
+        {
+            return Err(self.violation(policy, CpiViolationKind::NotACodePointer, v.raw));
         }
+        self.probe_check_pass(site);
         Ok(())
     }
 
@@ -158,13 +70,14 @@ impl<'m> Machine<'m> {
     /// store's compact slot carries the word plus the value's interned
     /// provenance handle ([`Slot`]) — the handle moves as-is; no full
     /// `Entry` is materialized at this boundary.
-    pub(crate) fn ptr_store(
+    pub(crate) fn op_ptr_store(
         &mut self,
         policy: Policy,
         addr: u64,
         v: V,
         universal: bool,
     ) -> Result<(), Trap> {
+        self.stats.cpi_mem_ops += 1;
         // Resolve the handle once to classify the value; the slot still
         // stores the handle, not the resolved record.
         let prov = self.meta.get(v.meta);
@@ -215,12 +128,8 @@ impl<'m> Machine<'m> {
     /// its metadata back from the safe pointer store. The slot's handle
     /// goes straight into the register value — no re-interning on the
     /// hot path.
-    pub(crate) fn ptr_load(
-        &mut self,
-        policy: Policy,
-        addr: u64,
-        universal: bool,
-    ) -> Result<V, Trap> {
+    pub(crate) fn op_ptr_load(&mut self, policy: Policy, addr: u64) -> Result<V, Trap> {
+        self.stats.cpi_mem_ops += 1;
         let (slot, t) = self.store.get(addr);
         self.charge_store_touches(t, TouchKind::Read);
         self.probe_store_op(addr, true);
@@ -241,47 +150,72 @@ impl<'m> Machine<'m> {
                     meta: s.meta,
                 })
             }
-            None if universal => {
-                // No sensitive value here: fall back to the regular copy.
-                let raw = self.prog_read(addr, 8, MemSpace::Regular)?;
-                Ok(V::int(raw))
-            }
-            None => {
-                // A sensitive-typed location that was never stored
-                // through the safe store (e.g. zero-initialized global):
-                // read the regular image; the value carries no
-                // metadata, so any control use of it will trap.
-                let raw = self.prog_read(addr, 8, MemSpace::Regular)?;
-                Ok(V::int(raw))
-            }
+            // No sensitive value here: a universal pointer falls back to
+            // the regular copy, and so does a sensitive-typed location
+            // never stored through the safe store (e.g. a
+            // zero-initialized global) — its value carries no metadata,
+            // so any control use of it will trap.
+            None => Ok(V::int(self.prog_read(addr, 8, MemSpace::Regular)?)),
         }
     }
 
+    /// `safe_memcpy`: regular bytes move as usual, and the safe store
+    /// transfers the compact slots word by word — plain (word, handle)
+    /// moves, but still the path §5.2 attributes memcpy overhead to.
+    pub(crate) fn op_safe_memcpy(&mut self, dst: u64, src: u64, len: u64) -> Result<(), Trap> {
+        self.bulk_copy(dst, src, len)?;
+        let (copied, t) = self.store.copy_range(dst, src, len);
+        self.charge_store_touches(t, TouchKind::Write);
+        self.stats.cycles += (len / 8) * self.config.cost.store_op + copied;
+        Ok(())
+    }
+
+    /// `safe_memset`: fills the regular bytes and clears the safe-store
+    /// slots of the range.
+    pub(crate) fn op_safe_memset(&mut self, dst: u64, byte: u8, len: u64) -> Result<(), Trap> {
+        self.bulk_fill(dst, byte, len)?;
+        let t = self.store.clear_range(dst, len);
+        self.charge_store_touches(t, TouchKind::Write);
+        self.stats.cycles += (len / 8) * self.config.cost.store_op;
+        Ok(())
+    }
+
+    /// `pac_sign`: seals `v` under `ctx`. The sealed word keeps its
+    /// provenance handle: sealing changes representation, not what the
+    /// pointer is based on (and the handle never reaches regular memory).
+    #[inline(always)]
+    pub(crate) fn op_pac_sign(&mut self, v: V, ctx: u64) -> V {
+        self.charge_pac_sign();
+        V {
+            raw: self.pac_seal(v.raw, ctx),
+            meta: v.meta,
+        }
+    }
+
+    /// `pac_auth`: authenticates `v` under `ctx` and strips the seal, or
+    /// traps with [`Trap::Pac`].
+    #[inline(always)]
+    pub(crate) fn op_pac_auth(&mut self, v: V, ctx: u64) -> Result<V, Trap> {
+        self.charge_pac_auth();
+        Ok(V {
+            raw: self.pac_auth_val(v.raw, ctx)?,
+            meta: v.meta,
+        })
+    }
+
     /// Byte-bulk copy with amortized charging (used by memcpy-family).
-    pub(crate) fn bulk_copy(
-        &mut self,
-        dst: u64,
-        src: u64,
-        len: u64,
-        _moving: bool,
-    ) -> Result<(), Trap> {
+    pub(crate) fn bulk_copy(&mut self, dst: u64, src: u64, len: u64) -> Result<(), Trap> {
         self.isolation_check(src, MemSpace::Regular)?;
         self.isolation_check(dst, MemSpace::Regular)?;
         self.charge_bulk(len, dst, src);
-        self.mem.copy(dst, src, len).map_err(|e| match e {
-            crate::mem::MemError::Unmapped { addr } => Trap::Unmapped { addr },
-            crate::mem::MemError::WriteProtected { addr } => Trap::WriteProtected { addr },
-        })
+        self.mem.copy(dst, src, len).map_err(Self::mem_trap)
     }
 
     /// Byte-bulk fill with amortized charging (memset).
     pub(crate) fn bulk_fill(&mut self, dst: u64, byte: u8, len: u64) -> Result<(), Trap> {
         self.isolation_check(dst, MemSpace::Regular)?;
         self.charge_bulk(len, dst, dst);
-        self.mem.fill(dst, byte, len).map_err(|e| match e {
-            crate::mem::MemError::Unmapped { addr } => Trap::Unmapped { addr },
-            crate::mem::MemError::WriteProtected { addr } => Trap::WriteProtected { addr },
-        })
+        self.mem.fill(dst, byte, len).map_err(Self::mem_trap)
     }
 
     /// Charges a bulk operation: one cache access per 64-byte line on

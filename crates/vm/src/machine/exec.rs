@@ -1,11 +1,18 @@
-//! The fetch/execute loop: one IR instruction per step.
+//! The step walker: one IR instruction per step.
+//!
+//! A decoder over the op handlers (`ops.rs`, `cpi.rs`), like the
+//! bytecode loop: it reads each instruction's operands off the IR,
+//! calls the op's handler and writes the destination register. It is
+//! kept as the reference engine — with the semantics shared, a
+//! walker/bytecode divergence isolates a compile, fuse or decode bug.
 
 use levee_bc::Op;
 use levee_ir::prelude::*;
-use levee_rt::{Entry, MetaId};
 
+use crate::probe::CheckSite;
 use crate::trap::{ExitStatus, Trap};
 
+use super::ops::{cast, cmp, Callee};
 use super::{Machine, V};
 
 impl<'m> Machine<'m> {
@@ -85,47 +92,41 @@ impl<'m> Machine<'m> {
     }
 
     fn exec_terminator(&mut self, term: &Terminator) -> Result<Option<ExitStatus>, Trap> {
-        match term {
-            Terminator::Br(b) => {
-                let f = self.frame_mut();
-                f.block = *b;
-                f.ip = 0;
-                Ok(None)
-            }
+        let target = match term {
+            Terminator::Br(b) => *b,
             Terminator::CondBr {
                 cond,
                 then_bb,
                 else_bb,
             } => {
-                let c = self.eval(*cond).raw;
-                let target = if c != 0 { *then_bb } else { *else_bb };
-                let f = self.frame_mut();
-                f.block = target;
-                f.ip = 0;
-                Ok(None)
+                if self.eval(*cond).raw != 0 {
+                    *then_bb
+                } else {
+                    *else_bb
+                }
             }
             Terminator::Ret(v) => {
                 let value = v.map(|op| self.eval(op));
-                self.do_return(value)
+                return self.do_return(value);
             }
-            Terminator::Unreachable => Err(Trap::Unreachable),
-        }
+            Terminator::Unreachable => return Err(Trap::Unreachable),
+        };
+        let f = self.frame_mut();
+        f.block = target;
+        f.ip = 0;
+        Ok(None)
     }
 
     fn exec_inst(&mut self, inst: &Inst) -> Result<(), Trap> {
-        match inst {
+        let module = self.module;
+        let types = &module.types;
+        let (dest, v) = match inst {
             Inst::Alloca {
                 dest,
                 ty,
                 count,
                 stack,
-            } => {
-                let size = self.module.types.size_of(ty) * count;
-                let addr = self.do_alloca(size, *stack)?;
-                let v = self.v_data(addr, addr, addr + size, 0);
-                self.set_reg(*dest, v);
-                Ok(())
-            }
+            } => (*dest, self.op_alloca(types.size_of(ty) * count, *stack)?),
             Inst::Load {
                 dest,
                 ptr,
@@ -133,22 +134,7 @@ impl<'m> Machine<'m> {
                 space,
             } => {
                 let addr = self.eval(*ptr).raw;
-                let size = self.module.types.size_of(ty);
-                self.stats.mem_ops += 1;
-                let raw = self.prog_read(addr, size, *space)?;
-                // Safe-stack slots are trusted storage: provenance
-                // survives the round-trip (like a register spill) as
-                // long as the reloaded word matches what was spilled.
-                let meta = if *space == MemSpace::SafeStack {
-                    match self.safe_stack_meta.get(&addr) {
-                        Some(&(spilled, m)) if spilled == raw => m,
-                        _ => MetaId::NONE,
-                    }
-                } else {
-                    MetaId::NONE
-                };
-                self.set_reg(*dest, V { raw, meta });
-                Ok(())
+                (*dest, self.op_load(addr, types.size_of(ty), *space)?)
             }
             Inst::Store {
                 ptr,
@@ -156,18 +142,8 @@ impl<'m> Machine<'m> {
                 ty,
                 space,
             } => {
-                let addr = self.eval(*ptr).raw;
-                let v = self.eval(*value);
-                let size = self.module.types.size_of(ty);
-                self.stats.mem_ops += 1;
-                if *space == MemSpace::SafeStack {
-                    if v.meta.is_some() {
-                        self.safe_stack_meta.insert(addr, (v.raw, v.meta));
-                    } else {
-                        self.safe_stack_meta.remove(&addr);
-                    }
-                }
-                self.prog_write(addr, v.raw, size, *space)
+                let (addr, v) = (self.eval(*ptr).raw, self.eval(*value));
+                return self.op_store(addr, v, types.size_of(ty), *space);
             }
             Inst::Gep {
                 dest,
@@ -177,99 +153,34 @@ impl<'m> Machine<'m> {
                 offset,
                 field_of,
             } => {
-                let b = self.eval(*base);
-                let i = self.eval(*index).raw;
-                let elem_size = self.module.types.size_of(elem);
-                let raw = b
-                    .raw
-                    .wrapping_add(i.wrapping_mul(elem_size))
-                    .wrapping_add(*offset);
-                // Based-on propagation (case iv): derived pointers keep
-                // their provenance handle — the raw word moves, the
-                // based-on object doesn't. Field selection narrows the
-                // bounds to the sub-object (§3.2.2 / Appendix A), which
-                // is new provenance and interns a record.
-                let meta = match self.meta.get(b.meta) {
-                    Some(prov) if field_of.is_some() => {
-                        self.intern_prov(Entry::data(raw, raw, raw + elem_size, prov.id))
-                    }
-                    _ => b.meta,
-                };
-                self.set_reg(*dest, V { raw, meta });
-                Ok(())
+                let (b, i) = (self.eval(*base), self.eval(*index).raw);
+                let elem_size = types.size_of(elem);
+                (
+                    *dest,
+                    self.op_gep(b, i, elem_size, *offset, field_of.is_some()),
+                )
             }
-            Inst::GlobalAddr { dest, global } => {
-                let addr = self.global_addrs[global.0 as usize];
-                let meta = self.global_meta[global.0 as usize];
-                self.set_reg(*dest, V { raw: addr, meta });
-                Ok(())
-            }
-            Inst::FuncAddr { dest, func } => {
-                let addr = self.func_addrs[func.0 as usize];
-                let meta = self.func_meta[func.0 as usize];
-                self.set_reg(*dest, V { raw: addr, meta });
-                Ok(())
-            }
+            Inst::GlobalAddr { dest, global } => (*dest, self.op_global_addr(global.0 as usize)),
+            Inst::FuncAddr { dest, func } => (*dest, self.op_func_addr(func.0 as usize)),
             Inst::Bin { dest, op, lhs, rhs } => {
-                let a = self.eval(*lhs);
-                let b = self.eval(*rhs);
-                let raw = self.eval_bin(*op, a.raw, b.raw)?;
-                // Pointer arithmetic done as integer math keeps the
-                // based-on metadata of its single pointer operand (this
-                // is the dataflow-cast relaxation of §3.2.1/§4) — with
-                // interned provenance that is just handle propagation.
-                let meta = bin_meta(*op, a.meta, b.meta);
-                self.set_reg(*dest, V { raw, meta });
-                Ok(())
+                let (a, b) = (self.eval(*lhs), self.eval(*rhs));
+                (*dest, self.op_bin(*op, a, b)?)
             }
             Inst::Cmp { dest, op, lhs, rhs } => {
-                let a = self.eval(*lhs).raw as i64;
-                let b = self.eval(*rhs).raw as i64;
-                let r = match op {
-                    CmpOp::Eq => a == b,
-                    CmpOp::Ne => a != b,
-                    CmpOp::Lt => a < b,
-                    CmpOp::Le => a <= b,
-                    CmpOp::Gt => a > b,
-                    CmpOp::Ge => a >= b,
-                };
-                self.set_reg(*dest, V::int(r as u64));
-                Ok(())
+                let r = cmp(*op, self.eval(*lhs).raw, self.eval(*rhs).raw);
+                (*dest, V::int(r as u64))
             }
             Inst::Cast {
                 dest,
                 kind,
                 value,
                 to,
-            } => {
-                let v = self.eval(*value);
-                let out = match kind {
-                    // Pointer casts (including to/from void*) keep the
-                    // based-on metadata; int→ptr keeps metadata only if
-                    // the dataflow carried some (otherwise "invalid").
-                    CastKind::PtrToPtr | CastKind::PtrToInt | CastKind::IntToPtr => v,
-                    CastKind::IntToInt => {
-                        let size = self.module.types.size_of(to);
-                        let raw = truncate(v.raw, size);
-                        V::int(raw)
-                    }
-                };
-                self.set_reg(*dest, out);
-                Ok(())
-            }
+            } => (*dest, cast(*kind, self.eval(*value), types.size_of(to))),
             Inst::Call { dest, func, args } => {
-                // Descriptor-driven frame push: fill the callee register
-                // file directly from the caller's operands (the argument
-                // move plan), no intermediate argument vector.
-                let desc = self.frame_descs[func.0 as usize];
-                debug_assert_eq!(args.len(), desc.n_params as usize);
-                let mut regs = self.take_vec();
-                regs.extend(args.iter().map(|a| self.eval(*a)));
-                regs.resize(desc.n_regs as usize, V::int(0));
-                let frame = self.frame();
-                let key = (frame.func.0, frame.block.0, frame.ip - 1);
-                let ret_addr = self.site_of_call[&key];
-                self.push_frame(*func, desc, regs, *dest, ret_addr)
+                let ret = self.call_ret_addr();
+                return self.op_call(Callee::Direct(*func), ret, *dest, args.len(), |m, regs| {
+                    regs.extend(args.iter().map(|a| m.eval(*a)))
+                });
             }
             Inst::CallIndirect {
                 dest,
@@ -278,77 +189,75 @@ impl<'m> Machine<'m> {
                 args,
                 cfi,
             } => {
-                let cv = self.eval(*callee);
-                let f = self.resolve_indirect(cv.raw, sig, *cfi, args.len())?;
-                let desc = self.frame_descs[f.0 as usize];
-                let mut regs = self.take_vec();
-                regs.extend(args.iter().map(|a| self.eval(*a)));
-                regs.resize(desc.n_regs as usize, V::int(0));
-                let frame = self.frame();
-                let key = (frame.func.0, frame.block.0, frame.ip - 1);
-                let ret_addr = self.site_of_call[&key];
-                self.push_frame(f, desc, regs, *dest, ret_addr)
+                let callee = Callee::Indirect {
+                    target: self.eval(*callee).raw,
+                    sig,
+                    cfi: *cfi,
+                };
+                let ret = self.call_ret_addr();
+                return self.op_call(callee, ret, *dest, args.len(), |m, regs| {
+                    regs.extend(args.iter().map(|a| m.eval(*a)))
+                });
             }
             Inst::IntrinsicCall { dest, which, args } => {
                 let mut argv = self.take_vec();
                 argv.extend(args.iter().map(|a| self.eval(*a)));
-                self.exec_intrinsic(*which, argv, *dest)
+                return self.exec_intrinsic(*which, argv, *dest);
             }
-            Inst::Cpi(op) => self.exec_cpi(op),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn eval_bin(&mut self, op: BinOp, a: u64, b: u64) -> Result<u64, Trap> {
-        Ok(match op {
-            BinOp::Add => a.wrapping_add(b),
-            BinOp::Sub => a.wrapping_sub(b),
-            BinOp::Mul => {
-                self.stats.cycles += self.config.cost.mul;
-                a.wrapping_mul(b)
-            }
-            BinOp::Div => {
-                self.stats.cycles += self.config.cost.div;
-                if b == 0 {
-                    return Err(Trap::DivByZero);
+            Inst::Cpi(op) => match op {
+                CpiOp::PtrStore {
+                    policy,
+                    ptr,
+                    value,
+                    universal,
+                } => {
+                    let (addr, v) = (self.eval(*ptr).raw, self.eval(*value));
+                    return self.op_ptr_store(*policy, addr, v, *universal);
                 }
-                ((a as i64).wrapping_div(b as i64)) as u64
-            }
-            BinOp::Rem => {
-                self.stats.cycles += self.config.cost.div;
-                if b == 0 {
-                    return Err(Trap::DivByZero);
+                CpiOp::PtrLoad {
+                    policy, dest, ptr, ..
+                } => (*dest, self.op_ptr_load(*policy, self.eval(*ptr).raw)?),
+                CpiOp::Check { policy, ptr, size } => {
+                    let site = self.check_site();
+                    return self.op_check(self.eval(*ptr), *size, *policy, site);
                 }
-                ((a as i64).wrapping_rem(b as i64)) as u64
-            }
-            BinOp::And => a & b,
-            BinOp::Or => a | b,
-            BinOp::Xor => a ^ b,
-            BinOp::Shl => a.wrapping_shl(b as u32),
-            BinOp::Shr => a.wrapping_shr(b as u32),
-        })
+                CpiOp::FnCheck { policy, callee } => {
+                    let site = self.check_site();
+                    return self.op_fncheck(self.eval(*callee), *policy, site);
+                }
+                CpiOp::SafeMemcpy { dst, src, len, .. } => {
+                    let (d, s, n) = (self.eval(*dst), self.eval(*src), self.eval(*len));
+                    return self.op_safe_memcpy(d.raw, s.raw, n.raw);
+                }
+                CpiOp::SafeMemset { dst, byte, len, .. } => {
+                    let (d, b, n) = (self.eval(*dst), self.eval(*byte), self.eval(*len));
+                    return self.op_safe_memset(d.raw, b.raw as u8, n.raw);
+                }
+                CpiOp::PacSign { dest, value, ctx } => {
+                    let (v, c) = (self.eval(*value), self.eval(*ctx).raw);
+                    (*dest, self.op_pac_sign(v, c))
+                }
+                CpiOp::PacAuth { dest, value, ctx } => {
+                    let (v, c) = (self.eval(*value), self.eval(*ctx).raw);
+                    (*dest, self.op_pac_auth(v, c)?)
+                }
+            },
+        };
+        self.set_reg(dest, v);
+        Ok(())
     }
-}
 
-/// Based-on propagation for integer arithmetic (the dataflow-cast
-/// relaxation of §3.2.1/§4): `Add`/`Sub` keep the provenance of a lone
-/// pointer left operand; `Add` also commutes. Everything else — two
-/// pointer operands included — strips provenance.
-#[inline(always)]
-pub(crate) fn bin_meta(op: BinOp, a: MetaId, b: MetaId) -> MetaId {
-    match op {
-        BinOp::Add | BinOp::Sub if a.is_some() && b.is_none() => a,
-        BinOp::Add if a.is_none() && b.is_some() => b,
-        _ => MetaId::NONE,
+    /// The return address of the in-flight call (`ip` has already
+    /// advanced past it).
+    fn call_ret_addr(&self) -> u64 {
+        let f = self.frame();
+        let site = self.site_of_call[&(f.func.0, f.block.0, f.ip - 1)];
+        self.ret_site(f.func.0, site)
     }
-}
 
-#[inline(always)]
-pub(crate) fn truncate(v: u64, size: u64) -> u64 {
-    match size {
-        1 => v as u8 as u64,
-        2 => v as u16 as u64,
-        4 => v as u32 as u64,
-        _ => v,
+    /// The in-flight check's site, in walker coordinates.
+    fn check_site(&self) -> CheckSite {
+        let f = self.frame();
+        CheckSite::Ir(f.func.0, f.block.0, f.ip as u32 - 1)
     }
 }

@@ -37,7 +37,7 @@ impl<'m> Machine<'m> {
             }
             Intrinsic::Memcpy | Intrinsic::Memmove => {
                 let (d, s, n) = (args[0].raw, args[1].raw, args[2].raw);
-                self.bulk_copy(d, s, n, which == Intrinsic::Memmove)?;
+                self.bulk_copy(d, s, n)?;
                 Some(args[0])
             }
             Intrinsic::Memset => {
@@ -169,20 +169,14 @@ impl<'m> Machine<'m> {
         self.isolation_check(addr, MemSpace::Regular)?;
         self.charge_mem(addr, true, TouchKind::Read, 1);
         self.stats.mem_ops += 1;
-        self.mem.read_u8(addr).map_err(|e| match e {
-            crate::mem::MemError::Unmapped { addr } => Trap::Unmapped { addr },
-            crate::mem::MemError::WriteProtected { addr } => Trap::WriteProtected { addr },
-        })
+        self.mem.read_u8(addr).map_err(Self::mem_trap)
     }
 
     pub(crate) fn write_byte(&mut self, addr: u64, b: u8) -> Result<(), Trap> {
         self.isolation_check(addr, MemSpace::Regular)?;
         self.charge_mem(addr, true, TouchKind::Write, 1);
         self.stats.mem_ops += 1;
-        self.mem.write_u8(addr, b).map_err(|e| match e {
-            crate::mem::MemError::Unmapped { addr } => Trap::Unmapped { addr },
-            crate::mem::MemError::WriteProtected { addr } => Trap::WriteProtected { addr },
-        })
+        self.mem.write_u8(addr, b).map_err(Self::mem_trap)
     }
 
     pub(crate) fn write_bytes(&mut self, addr: u64, bytes: &[u8]) -> Result<(), Trap> {

@@ -19,6 +19,7 @@ mod control;
 mod cpi;
 mod exec;
 mod intrinsics;
+mod ops;
 
 use std::collections::HashMap;
 
@@ -33,7 +34,7 @@ use crate::config::{Engine, Isolation, PacMode, ResetMode, VmConfig};
 use crate::heap::Heap;
 use crate::layout::{self, Layout};
 use crate::mem::{MemError, Memory};
-use crate::probe::{touch_addrs, ProfileReport, Profiler, TouchKind, TouchRecord};
+use crate::probe::{touch_addrs, CheckSite, ProfileReport, Profiler, TouchKind, TouchRecord};
 use crate::stats::{ExecStats, ResetStats};
 use crate::trap::{ExitStatus, GoalKind, Trap};
 
@@ -79,6 +80,14 @@ impl V {
 
 /// Marker value used as the return address of `main`.
 pub(crate) const MAIN_RET_SENTINEL: u64 = 0x0000_dead_0000;
+
+/// The final status of a run a trap ended: `exit()` is a clean exit.
+pub(crate) fn exit_status(trap: Trap) -> ExitStatus {
+    match trap {
+        Trap::ProgramExit(code) => ExitStatus::Exited(code),
+        trap => ExitStatus::Trapped(trap),
+    }
+}
 
 /// The address bits of a PAC-sealed word: every simulated address fits
 /// in 48 bits (see [`crate::layout`]), leaving the high 16 for the MAC
@@ -188,8 +197,9 @@ pub struct Machine<'m> {
     /// Return-site address → (callee-side resume is Rust state; the map
     /// is used to validate loaded return addresses).
     pub(crate) ret_sites: HashMap<u64, FuncId, FastHash>,
-    /// (FuncId, BlockId, ip) → return-site address for that call site.
-    pub(crate) site_of_call: HashMap<(u32, u32, usize), u64, FastHash>,
+    /// (FuncId, BlockId, ip) → index of that call site in its function
+    /// (the walker's route to [`Machine::ret_site`]).
+    pub(crate) site_of_call: HashMap<(u32, u32, usize), u32, FastHash>,
     /// GlobalId → data address.
     pub(crate) global_addrs: Vec<u64>,
     /// Global sizes (for bounds metadata).
@@ -696,9 +706,9 @@ impl<'m> Machine<'m> {
             // `iter_call_sites` order — the same numbering the bytecode
             // compiler embeds as site indices.
             for (site, (bid, ip, _)) in f.iter_call_sites().enumerate() {
-                let addr = entry + 16 * (site as u64 + 1);
-                self.site_of_call.insert((fid.0, bid.0, ip), addr);
-                self.ret_sites.insert(addr, fid);
+                let site = site as u32;
+                self.site_of_call.insert((fid.0, bid.0, ip), site);
+                self.ret_sites.insert(self.ret_site(fid.0, site), fid);
             }
         }
         // Code and rodata are write-protected (threat model §2).
@@ -838,7 +848,7 @@ impl<'m> Machine<'m> {
         if let Some(p) = self.probe.as_deref_mut() {
             p.begin_run(self.stats.cycles);
         }
-        let status = match self.enter_function(main, vec![], None, MAIN_RET_SENTINEL) {
+        let status = match self.enter_main(main) {
             Err(trap) => ExitStatus::Trapped(trap),
             Ok(()) => match self.config.engine {
                 Engine::Walk => self.run_loop(),
@@ -866,8 +876,7 @@ impl<'m> Machine<'m> {
             match self.step() {
                 Ok(Some(exit)) => return exit,
                 Ok(None) => {}
-                Err(Trap::ProgramExit(code)) => return ExitStatus::Exited(code),
-                Err(trap) => return ExitStatus::Trapped(trap),
+                Err(trap) => return exit_status(trap),
             }
         }
     }
@@ -894,18 +903,20 @@ impl<'m> Machine<'m> {
     ///
     /// `kind`/`width` tag the touch-log record only — they never affect
     /// the charge.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn charge_mem(&mut self, addr: u64, regular: bool, kind: TouchKind, width: u8) {
-        self.stats.cycles += self.config.cost.mem_hit;
+        let cost = &self.config.cost;
+        let mut cycles = cost.mem_hit;
         if !self.cache.access(addr, kind, width) {
-            self.stats.cycles += self.config.cost.mem_miss;
+            cycles += cost.mem_miss;
         }
         if regular && self.config.isolation == Isolation::Sfi {
             self.sfi_masked += 1;
             if self.sfi_masked.is_multiple_of(3) {
-                self.stats.cycles += self.config.cost.sfi_mask;
+                cycles += cost.sfi_mask;
             }
         }
+        self.stats.cycles += cycles;
     }
 
     /// Charges the safe-store traffic described by `touched`; `kind`
@@ -914,10 +925,7 @@ impl<'m> Machine<'m> {
     pub(crate) fn charge_store_touches(&mut self, touched: levee_rt::Touched, kind: TouchKind) {
         const SLOT_W: u8 = levee_rt::SLOT_SIZE as u8;
         for addr in touched.iter() {
-            self.stats.cycles += self.config.cost.mem_hit;
-            if !self.cache.access(addr, kind, SLOT_W) {
-                self.stats.cycles += self.config.cost.mem_miss;
-            }
+            self.charge_mem(addr, false, kind, SLOT_W);
         }
         // Touches beyond the recorded sample (range operations, probe
         // chains) are charged as sequential slot-sized accesses
@@ -925,13 +933,7 @@ impl<'m> Machine<'m> {
         if touched.spill > 0 {
             let base = touched.iter().last().unwrap_or_else(|| self.store.base());
             for i in 1..=touched.spill as u64 {
-                self.stats.cycles += self.config.cost.mem_hit;
-                if !self
-                    .cache
-                    .access(base + i * levee_rt::SLOT_SIZE, kind, SLOT_W)
-                {
-                    self.stats.cycles += self.config.cost.mem_miss;
-                }
+                self.charge_mem(base + i * levee_rt::SLOT_SIZE, false, kind, SLOT_W);
             }
         }
         if touched.page_fault {
@@ -1071,42 +1073,22 @@ impl<'m> Machine<'m> {
         }
     }
 
-    /// A walker CPI check at `(func, block, ip)` is about to run.
+    /// A CPI check at `site` is about to run.
     #[inline]
-    pub(crate) fn probe_check_attempt_ir(&mut self, key: (u32, u32, u32)) {
+    pub(crate) fn probe_check_attempt(&mut self, site: CheckSite) {
         if self.probe.is_some() {
             let now = self.stats.cycles;
             if let Some(p) = self.probe.as_deref_mut() {
-                p.check_attempt_ir(key, now);
+                p.check_attempt(site, now);
             }
         }
     }
 
-    /// The walker CPI check at `(func, block, ip)` passed.
+    /// The CPI check at `site` passed.
     #[inline]
-    pub(crate) fn probe_check_pass_ir(&mut self, key: (u32, u32, u32)) {
+    pub(crate) fn probe_check_pass(&mut self, site: CheckSite) {
         if let Some(p) = self.probe.as_deref_mut() {
-            p.check_pass_ir(key);
-        }
-    }
-
-    /// A bytecode CPI check at `func`'s stream offset `pc` is about to
-    /// run.
-    #[inline]
-    pub(crate) fn probe_check_attempt_bc(&mut self, func: u32, pc: u32) {
-        if self.probe.is_some() {
-            let now = self.stats.cycles;
-            if let Some(p) = self.probe.as_deref_mut() {
-                p.check_attempt_bc(func, pc, now);
-            }
-        }
-    }
-
-    /// The bytecode CPI check at (`func`, `pc`) passed.
-    #[inline]
-    pub(crate) fn probe_check_pass_bc(&mut self, func: u32, pc: u32) {
-        if let Some(p) = self.probe.as_deref_mut() {
-            p.check_pass_bc(func, pc);
+            p.check_pass(site);
         }
     }
 
@@ -1132,7 +1114,7 @@ impl<'m> Machine<'m> {
     }
 
     /// Enforces the isolation invariant for an access from `space`.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn isolation_check(&self, addr: u64, space: MemSpace) -> Result<(), Trap> {
         if space == MemSpace::Regular && self.layout.in_safe_region(addr) {
             return match self.config.isolation {
@@ -1148,7 +1130,7 @@ impl<'m> Machine<'m> {
     }
 
     /// Program-level typed read.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn prog_read(&mut self, addr: u64, size: u64, space: MemSpace) -> Result<u64, Trap> {
         self.isolation_check(addr, space)?;
         self.charge_mem(
@@ -1161,7 +1143,7 @@ impl<'m> Machine<'m> {
     }
 
     /// Program-level typed write.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn prog_write(
         &mut self,
         addr: u64,
@@ -1191,15 +1173,6 @@ impl<'m> Machine<'m> {
     #[inline]
     pub(crate) fn frame_mut(&mut self) -> &mut Frame {
         self.frames.last_mut().expect("no active frame")
-    }
-
-    /// The `(func, block, ip)` key of the walker's in-flight
-    /// instruction (`ip` has already advanced past it when an
-    /// instruction executes).
-    #[inline]
-    pub(crate) fn current_site_key(&self) -> (u32, u32, u32) {
-        let f = self.frame();
-        (f.func.0, f.block.0, f.ip as u32 - 1)
     }
 
     #[inline]

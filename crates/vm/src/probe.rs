@@ -219,6 +219,16 @@ struct FuncAcc {
     active: u32,
 }
 
+/// Where a CPI check executes, in the coordinates of the engine running
+/// it; the profiler maps both onto one per-function site numbering.
+#[derive(Clone, Copy)]
+pub(crate) enum CheckSite {
+    /// The step walker's `(func, block, ip)`.
+    Ir(u32, u32, u32),
+    /// The bytecode engine's `(func, pc)` of a check-shaped opcode.
+    Bc(u32, u32),
+}
+
 /// The execution profiler: host-side observation state attached to a
 /// machine when [`crate::VmConfig::profile`] is on.
 ///
@@ -406,61 +416,42 @@ impl Profiler {
         }
     }
 
-    fn check_attempt(&mut self, func: u32, site: u32, now: u64) {
-        let e = self.site_hits.entry((func, site)).or_default();
-        e.0 += 1;
+    /// Resolves an engine-side check coordinate to `(func, site index)`.
+    fn site_index(&self, site: CheckSite) -> Option<(u32, u32)> {
+        match site {
+            CheckSite::Ir(func, block, ip) => {
+                self.ir_sites.get(&(func, block, ip)).map(|&i| (func, i))
+            }
+            CheckSite::Bc(func, pc) => self
+                .bc_sites
+                .as_ref()?
+                .get(func as usize)?
+                .get(&pc)
+                .map(|&i| (func, i)),
+        }
+    }
+
+    /// A CPI check is about to run at `site`.
+    pub(crate) fn check_attempt(&mut self, site: CheckSite, now: u64) {
+        let Some(key) = self.site_index(site) else {
+            return;
+        };
+        self.site_hits.entry(key).or_default().0 += 1;
         self.ring.push(TraceEvent {
             kind: TraceEventKind::Check,
             cycles: now,
-            a: func as u64,
-            b: site as u64,
+            a: key.0 as u64,
+            b: key.1 as u64,
         });
     }
 
-    fn check_pass(&mut self, func: u32, site: u32) {
-        if let Some(e) = self.site_hits.get_mut(&(func, site)) {
+    /// The CPI check at `site` passed.
+    pub(crate) fn check_pass(&mut self, site: CheckSite) {
+        if let Some(e) = self
+            .site_index(site)
+            .and_then(|key| self.site_hits.get_mut(&key))
+        {
             e.1 += 1;
-        }
-    }
-
-    /// A walker CPI check is about to run at `(func, block, ip)`.
-    pub(crate) fn check_attempt_ir(&mut self, key: (u32, u32, u32), now: u64) {
-        if let Some(&site) = self.ir_sites.get(&key) {
-            self.check_attempt(key.0, site, now);
-        }
-    }
-
-    /// The walker CPI check at `(func, block, ip)` passed.
-    pub(crate) fn check_pass_ir(&mut self, key: (u32, u32, u32)) {
-        if let Some(&site) = self.ir_sites.get(&key) {
-            self.check_pass(key.0, site);
-        }
-    }
-
-    /// A bytecode CPI check is about to run at `func`'s stream offset
-    /// `pc` (the opcode word of a check-shaped instruction).
-    pub(crate) fn check_attempt_bc(&mut self, func: u32, pc: u32, now: u64) {
-        let site = self
-            .bc_sites
-            .as_ref()
-            .and_then(|per| per.get(func as usize))
-            .and_then(|m| m.get(&pc))
-            .copied();
-        if let Some(site) = site {
-            self.check_attempt(func, site, now);
-        }
-    }
-
-    /// The bytecode CPI check at (`func`, `pc`) passed.
-    pub(crate) fn check_pass_bc(&mut self, func: u32, pc: u32) {
-        let site = self
-            .bc_sites
-            .as_ref()
-            .and_then(|per| per.get(func as usize))
-            .and_then(|m| m.get(&pc))
-            .copied();
-        if let Some(site) = site {
-            self.check_pass(func, site);
         }
     }
 

@@ -5,7 +5,8 @@
 //! each benchmark the paper ran (we cannot run SPEC CPU2006 or FreeBSD's
 //! package set inside a simulator, but the overheads the paper reports
 //! are driven by the fraction of memory operations touching sensitive
-//! pointers, which these profiles reproduce — see DESIGN.md §2).
+//! pointers, which these profiles reproduce — the README's "Benchmarks"
+//! section lists the binaries that measure them).
 //!
 //! * [`spec::spec_suite`] — 19 programs mirroring the C/C++ SPEC
 //!   CPU2006 benchmarks (Fig. 3, Tables 1–3);

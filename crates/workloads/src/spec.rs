@@ -7,7 +7,8 @@
 //! that touch sensitive pointers, and that is what each profile mix
 //! reproduces: the perlbench workload dispatches through function
 //! pointers, the omnetpp/xalancbmk workloads are dominated by virtual
-//! calls, milc/lbm are numeric, and so on (see DESIGN.md).
+//! calls, milc/lbm are numeric, and so on (the README's "Benchmarks"
+//! section lists the binaries that run this suite).
 
 use crate::kernels::*;
 

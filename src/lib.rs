@@ -46,12 +46,11 @@
 //! request batches across N resident machines forked from one shared
 //! copy-on-write boot snapshot — bit-identical to serial serving.
 //!
-//! See `examples/` for attack/defense walkthroughs and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the experiment index.
+//! See `examples/` for attack/defense walkthroughs and the README's
+//! "Benchmarks" section for the experiment index.
 
 pub use levee_core::{
     json_f64, json_str, BuildConfig, LeveeError, RunReport, Session, SessionBuilder, SessionPool,
-    SessionPoolBuilder,
 };
 
 pub use levee_bc as bc;

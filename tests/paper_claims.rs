@@ -1,5 +1,6 @@
 //! The paper's headline claims, as assertions. Each test names the
-//! claim it checks; EXPERIMENTS.md records the measured numbers.
+//! claim it checks; the README's "Benchmarks" section lists the binaries
+//! that print the measured numbers.
 
 use levee::core::BuildConfig;
 use levee::defenses::Deployment;

@@ -3,7 +3,9 @@
 //! through `levee::Session`, the embedding front door.
 
 use levee::core::build_source;
+use levee::ir::printer::print_module;
 use levee::vm::{ExitStatus, Isolation, StoreKind, VmConfig};
+use levee::workloads::web_stack;
 use levee::{BuildConfig, Session};
 
 /// A program touching every subsystem: structs, vtables, dispatch
@@ -198,5 +200,28 @@ fn isolation_ablation_cpi_depends_on_isolation() {
         session.reconfigure(|cfg| cfg.isolation = iso);
         let slot = session.layout().safe_stack_top() - 8;
         assert!(session.attacker_write(slot, &[0xff; 8]).is_err(), "{iso:?}");
+    }
+}
+
+/// A build is a pure function of its source and configuration: every
+/// rebuild of each web-stack page prints the same module under every
+/// protection (promoted register cells included).
+#[test]
+fn rebuilds_print_the_same_module() {
+    for page in web_stack() {
+        let src = page.source(1);
+        for config in BuildConfig::all() {
+            let print = || {
+                let built = build_source(&src, page.name, *config).expect("page builds");
+                print_module(&built.module)
+            };
+            assert_eq!(
+                print(),
+                print(),
+                "{} under {}: a rebuild printed a different module",
+                page.name,
+                config.name()
+            );
+        }
     }
 }
