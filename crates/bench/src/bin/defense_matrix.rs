@@ -9,8 +9,9 @@
 //! by re-binding each seal to its slot — at the compatibility cost of
 //! trapping on workloads that memcpy callback-carrying records (those
 //! are excluded from its overhead average and counted in the JSON
-//! row). `bench_drift` gates both the verdict counts and the PAC
-//! sign/auth counters against `baselines/defense_matrix.json`.
+//! row). The verdict counts and the PAC sign/auth counters are
+//! recorded exactly in `crates/bench/baselines/defense_matrix.json`
+//! (see `levee_bench::drift`).
 //!
 //! Usage: `cargo run -p levee-bench --bin defense_matrix [-- scale]
 //! [--json] [--profile]` (`--json` emits one row per mechanism at a

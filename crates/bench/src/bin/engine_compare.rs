@@ -18,19 +18,27 @@
 //! win concentrates in tight-loop kernels (`dispatch`, `numeric`,
 //! `vcall`) where compare+branch and gep+load pairs dominate.
 //!
+//! The only wall-clock gate is the bytecode tier's ≥1.4× aggregate
+//! over the walker. Fusion's win (a few percent) is printed, not gated:
+//! min-of-`REPS` wall-clock on a shared host swings more than that.
+//! Whether fusion still fires is pinned exactly instead, by the planned
+//! and dispatched superinstruction counts in
+//! `crates/bench/baselines/profile_attribution.json`; the lineup's
+//! instruction and cycle counts are recorded in `engine_compare.json`
+//! next to it (see `levee_bench::drift`).
+//!
 //! Run with: `cargo run --release -p levee-bench --bin engine_compare`
-//! (`--json` emits a machine-readable report; the checked-in baseline
-//! lives in `crates/bench/baselines/engine_compare.json`; `--profile`
-//! additionally runs each kernel with the execution profiler on,
-//! prints per-opcode/per-function attribution, and gates the
-//! profiler's invariants: attribution partitions the cycle count
-//! exactly, and superinstruction dispatch counts are consistent with
-//! the fusion planner).
+//! (`--json` emits a machine-readable report; `--profile` additionally
+//! runs each kernel with the execution profiler on, prints
+//! per-opcode/per-function attribution, and gates the profiler's
+//! invariants: attribution partitions the cycle count exactly, and
+//! superinstruction dispatch counts are consistent with the fusion
+//! planner).
 
 use std::time::Instant;
 
 use levee_bench::kernels::{KernelSpec, FUSION_KERNELS, KERNELS};
-use levee_bench::profile::print_profile;
+use levee_bench::profile::{checked_profile, print_profile};
 use levee_bench::{BenchArgs, Table};
 use levee_core::{BuildConfig, Session};
 use levee_vm::{Engine, VmConfig};
@@ -94,50 +102,16 @@ fn profile_pass(
     session.precompile();
     let fuse = session.fuse_stats().expect("bytecode tier compiled");
     let run = session.run(b"");
-    assert!(
-        run.success(),
-        "{}: profiled run must exit cleanly",
-        spec.name
-    );
-    let report = run.profile.as_ref().expect("profiler on");
-    // Cycle-neutrality + exact attribution: the profiled run reproduces
-    // the timed passes' counters, and the per-opcode table partitions
-    // them without remainder.
+    let label = format!("{}/{}", config.name(), spec.name);
+    assert!(run.success(), "{label}: profiled run must exit cleanly");
+    // Cycle-neutrality: the profiled run reproduces the timed passes'
+    // counters.
     assert_eq!(
         (run.exec.cycles, run.exec.insts),
         (timed_cycles, timed_insts),
-        "{}: profiler must be cycle-neutral",
-        spec.name
+        "{label}: profiler must be cycle-neutral"
     );
-    assert_eq!(
-        report.op_cycle_total(),
-        run.exec.cycles,
-        "{}: per-op cycles must partition the run",
-        spec.name
-    );
-    // On the fusion-hot kernels the planner's pair counts must be
-    // consistent with what actually dispatched: every planned pattern
-    // executes, and nothing executes unplanned.
-    if FUSION_KERNELS.contains(&spec.name) {
-        for (op, planned) in [
-            ("CmpBr", fuse.cmp_br),
-            ("GepLoad", fuse.gep_load),
-            ("GepStore", fuse.gep_store),
-            ("CheckLoad", fuse.check_load),
-            ("CheckPtrLoad", fuse.check_ptr_load),
-            ("CheckedCall", fuse.checked_call),
-        ] {
-            assert_eq!(
-                planned > 0,
-                report.op_count(op) > 0,
-                "{}: planner fused {planned} {op} pairs but the profiler \
-                 counted {} dispatches",
-                spec.name,
-                report.op_count(op)
-            );
-        }
-    }
-    print_profile(&format!("{}/{}", config.name(), spec.name), report);
+    print_profile(&label, checked_profile(&label, &run, &fuse));
 }
 
 fn main() {
@@ -257,14 +231,5 @@ fn main() {
     assert!(
         bc_speedup >= 1.4,
         "bytecode engine regressed: expected >=1.4x aggregate over walk, got {bc_speedup:.2}x"
-    );
-    // The recorded baseline shows ~1.04-1.05x; the gate sits well below
-    // it so sustained scheduler noise on shared CI runners (which
-    // min-of-REPS cannot reject) doesn't flake the job, while an actual
-    // fusion regression (fused slower than unfused) still fails.
-    assert!(
-        fusion_hot_speedup >= 1.005,
-        "fusion regressed: expected a measurable win over unfused bytecode on \
-         {FUSION_KERNELS:?}, got {fusion_hot_speedup:.3}x"
     );
 }

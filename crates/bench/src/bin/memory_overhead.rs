@@ -14,12 +14,15 @@
 //! 32-byte `Entry` records needed, and the bench asserts the shrink is
 //! ≥ 1.8× for *every* organization.
 //!
+//! The compact geometry is pinned exactly: each organization's bytes
+//! for the dense population are recorded as integers in
+//! `crates/bench/baselines/memory_overhead.json` (see
+//! `levee_bench::drift`).
+//!
 //! Usage: `cargo run -p levee-bench --bin memory_overhead [-- scale]
 //! [--json] [--profile]` (`--json` emits the machine-readable
-//! bytes-per-entry report; the checked-in baseline lives in
-//! `crates/bench/baselines/memory_overhead.json`; `--profile` prints
-//! execution attribution for a representative CPI run against the
-//! hashtable organization).
+//! bytes-per-entry report; `--profile` prints execution attribution
+//! for a representative CPI run against the hashtable organization).
 
 use levee_bench::geometry::{
     dense_bytes_per_entry, seed_bytes_per_entry, DENSE_ENTRIES, SEED_SLOT,

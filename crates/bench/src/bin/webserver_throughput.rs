@@ -14,18 +14,18 @@
 //! reset modes: the PR 5 loader reset (full re-load per request) and
 //! the copy-on-write snapshot reset (restore only what the request
 //! dirtied — the fork-per-request model). The measured requests/sec
-//! improvements are asserted and recorded in
-//! `crates/bench/baselines/webserver_throughput.json`, along with the
-//! deterministic per-request reset cost (pages dirtied, bytes
-//! restored) the `bench_drift` gate tracks.
+//! improvements are asserted and printed. The deterministic
+//! per-request reset cost (pages dirtied, bytes restored) is recorded
+//! exactly in `crates/bench/baselines/webserver_throughput.json`.
 //!
 //! The third section is the multi-worker scale-out: a `SessionPool`
 //! compiles the page once, forks N resident machines from the shared
 //! copy-on-write boot snapshot, and shards the request batch across
 //! them. Every pooled request is asserted bit-identical to serial
 //! snapshot-reset serving, and on a ≥4-core host the 4-worker
-//! aggregate req/s is gated ≥2.5× the 1-worker rate. The deterministic
-//! per-page counters land in the baseline as `pool_pages`.
+//! aggregate req/s is gated ≥2.5× the 1-worker rate. The pooled
+//! per-request instruction and cycle counts are recorded exactly in the
+//! same baseline file.
 //!
 //! Usage: `cargo run --release -p levee-bench --bin webserver_throughput
 //! [-- requests] [--json] [--profile]` (`--profile` prints execution
@@ -47,11 +47,10 @@ const SERVED_REQUESTS: usize = 64;
 /// session must serve requests at least this much faster than
 /// fresh-session-per-request. What reuse saves is the fixed
 /// per-request setup — source build, instrumentation, bytecode
-/// compile+fuse — measured ≈1.1–1.3× per page in release (see
-/// `baselines/webserver_throughput.json`). Per-page wall-clock is
-/// scheduler-noisy, so the gate is on the aggregate, which is stable;
-/// a real reuse regression (resident no faster than rebuild) still
-/// fails it.
+/// compile+fuse — measured ≈1.1–1.3× per page in release. Per-page
+/// wall-clock is scheduler-noisy, so the gate is on the aggregate,
+/// which is stable; a real reuse regression (resident no faster than
+/// rebuild) still fails it.
 const MIN_REUSE_SPEEDUP: f64 = 1.08;
 
 /// The gate used in `--json` (CI `bench-smoke`) mode: shared runners
@@ -281,21 +280,18 @@ fn serve_pool(w: &Workload, n: usize, workers: usize) -> Result<(f64, Vec<RunRep
     Ok((t0.elapsed().as_secs_f64(), reports))
 }
 
+/// The deterministic `(page, insts, cycles)` counters of a pooled
+/// request.
+type PoolPageCounters = Vec<(String, u64, u64)>;
+
 /// The multi-worker section: serves the web stack through a
 /// `SessionPool` at each worker count in `worker_counts` (which must
 /// start at 1 — the scaling base) and asserts every per-request report
 /// — output, every simulated counter, and the per-request reset cost —
 /// bit-identical to serial snapshot-reset `run_batch` serving,
-/// regardless of how requests interleave across workers.
-///
-/// The deterministic `(page, insts, cycles)` counters of a pooled
-/// request, recorded in the baseline as `pool_pages` and gated
-/// two-sided by `bench_drift`.
-type PoolPageCounters = Vec<(String, u64, u64)>;
-
-/// Returns the wall-clock rows plus the deterministic per-page
-/// (insts, cycles) counters of a pooled request, which the baseline
-/// records as `pool_pages` and `bench_drift` gates two-sided.
+/// regardless of how requests interleave across workers. Returns the
+/// wall-clock rows plus the per-page counters of a pooled request
+/// (`--json` prints them as `pool_page` rows).
 fn measure_pool(
     n: usize,
     worker_counts: &[usize],
@@ -496,8 +492,7 @@ fn main() -> Result<(), LeveeError> {
          (copy-on-write snapshot reset)\n\
          — one compile + one module load serve every request (Machine::reset between runs,\n\
          bit-identical to a fresh build); the snapshot reset restores only the pages the\n\
-         request dirtied instead of re-running the loader (the fork-per-request model);\n\
-         baseline recorded in crates/bench/baselines/webserver_throughput.json."
+         request dirtied instead of re-running the loader (the fork-per-request model)."
     );
 
     println!(

@@ -1,816 +1,452 @@
-//! Bench drift gates: compare a fresh deterministic measurement against
-//! the recorded baselines in `crates/bench/baselines/`.
+//! The baseline gate: every file in `crates/bench/baselines/` is a
+//! table of exact rows, re-collected fresh and diffed against what was
+//! recorded.
 //!
-//! The simulated counters (cycles, instructions, per-entry store bytes)
-//! are deterministic, so *any* divergence from the recorded baseline is
-//! a real cost-model or instrumentation change, not noise — the checker
-//! still takes a threshold (default 5%) so intentional small cost-model
-//! tweaks can land together with refreshed baselines rather than
-//! blocking on a 0.1% wobble. The gate is **two-sided**: an unexplained
-//! drop past the threshold fails just like growth, because on
-//! deterministic counters a drop is the signature of an under-counting
-//! bug (dropped `Touched` records, un-charged checks) at least as often
-//! as of a genuine win — a real improvement lands together with its
-//! refreshed baseline. Wall-clock columns in the baselines are
-//! machine-dependent and are *never* gated.
+//! Every file has one shape, `{"rows": [row, …]}`. A row is a flat
+//! object whose string fields name it (`"build": "CPI", "kernel":
+//! "dispatch"`) and whose other fields are exact integers: simulated
+//! cycles and instructions, PAC sign/auth counts, RIPE verdict tallies,
+//! store bytes, snapshot-reset costs, profiler attribution (a trap
+//! verdict is 0/1). They are all deterministic, so the gate has no
+//! threshold. Any difference fails: a changed value, or a row or field
+//! present on one side only. A drop fails like growth, because on a
+//! deterministic counter it is as often an under-counting bug as a win.
+//! A deliberate change lands together with its re-recorded files
+//! (`bench_drift --record`), so the change shows in the diff under
+//! review. Host measurements (wall-clock, req/s, speedups) never enter
+//! a recorded file; the bins print them.
 //!
-//! The library half (this module) is pure comparison logic over parsed
-//! [`Json`] so it can be unit-tested with doctored baselines; the
-//! `bench_drift` binary wires it to fresh `levee::Session` runs.
+//! Each file has one collector, in the crate's `collect` module, that
+//! re-measures its rows. [`check`] runs the gate: the `baselines`
+//! integration test runs it in Tier-1, the `bench_drift` bin in release.
+//! [`record`] rewrites the files.
 
+use std::collections::BTreeMap;
+use std::fmt;
+use std::path::{Path, PathBuf};
+
+use levee_core::json_str;
+
+use crate::collect;
 use crate::json::Json;
 
-/// Default regression threshold, percent.
-pub const DEFAULT_THRESHOLD_PCT: f64 = 5.0;
-
-/// One compared metric.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftCase {
-    /// What was compared, e.g. `engine_compare/CPI/dispatch`.
-    pub key: String,
-    /// The metric name, e.g. `cycles`.
-    pub metric: String,
-    /// Recorded baseline value.
-    pub baseline: f64,
-    /// Freshly measured value.
-    pub current: f64,
+/// One field of a [`Row`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Value {
+    /// A string: part of the row's name.
+    Name(String),
+    /// An exact counter.
+    Count(u64),
 }
 
-impl DriftCase {
-    /// Relative change in percent (positive = the metric grew).
-    /// `NaN` on a degenerate (zero/NaN) baseline — degenerate baselines
-    /// are reported, never silently passed (see
-    /// `levee_vm::ExecStats::overhead_pct` for the same convention).
-    pub fn delta_pct(&self) -> f64 {
-        if self.baseline == 0.0 || self.baseline.is_nan() {
-            return f64::NAN;
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Name(s) => f.write_str(&json_str(s)),
+            Value::Count(n) => write!(f, "{n}"),
         }
-        (self.current / self.baseline - 1.0) * 100.0
-    }
-
-    /// Whether this case drifts past `threshold_pct` in **either**
-    /// direction. Growth is a regression; an unexplained drop on a
-    /// deterministic counter is just as suspect (under-counting bugs
-    /// shrink counters silently) and must be acknowledged by
-    /// re-recording the baseline. A `NaN` delta (degenerate baseline)
-    /// counts as drift: a gate that cannot compute its metric must
-    /// fail loudly.
-    pub fn regressed(&self, threshold_pct: f64) -> bool {
-        let d = self.delta_pct();
-        d.is_nan() || d.abs() > threshold_pct
     }
 }
 
-/// The checker's outcome over all compared metrics.
-#[derive(Debug, Clone, Default)]
-pub struct DriftReport {
-    /// Every compared metric, in comparison order.
-    pub cases: Vec<DriftCase>,
-    /// Problems that prevented a comparison (missing baseline rows,
-    /// malformed entries). Always failures: a gate that cannot run
-    /// must not pass.
-    pub errors: Vec<String>,
-}
+/// One row of a baseline file, fields in name order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Row(BTreeMap<String, Value>);
 
-impl DriftReport {
-    /// The cases regressing past `threshold_pct`.
-    pub fn regressions(&self, threshold_pct: f64) -> Vec<&DriftCase> {
-        self.cases
+impl Row {
+    /// Adds (or replaces) a naming field.
+    pub(crate) fn name(mut self, field: &str, value: &str) -> Row {
+        self.0.insert(field.into(), Value::Name(value.into()));
+        self
+    }
+
+    /// Adds (or replaces) a counter field.
+    pub(crate) fn count(mut self, field: &str, value: u64) -> Row {
+        self.0.insert(field.into(), Value::Count(value));
+        self
+    }
+
+    /// The row's name: its string fields as `field=value`, in field
+    /// order (e.g. `build=CPI kernel=dispatch`).
+    fn key(&self) -> String {
+        let names: Vec<String> = self
+            .0
             .iter()
-            .filter(|c| c.regressed(threshold_pct))
-            .collect()
+            .filter_map(|(field, v)| match v {
+                Value::Name(s) => Some(format!("{field}={s}")),
+                Value::Count(_) => None,
+            })
+            .collect();
+        names.join(" ")
     }
 
-    /// True when the gate passes at `threshold_pct`.
-    pub fn ok(&self, threshold_pct: f64) -> bool {
-        self.errors.is_empty() && self.regressions(threshold_pct).is_empty()
+    fn counters(&self) -> usize {
+        self.0
+            .values()
+            .filter(|v| matches!(v, Value::Count(_)))
+            .count()
     }
+}
 
-    /// Renders a human-readable summary.
-    pub fn render(&self, threshold_pct: f64) -> String {
-        let mut out = String::new();
-        for c in &self.cases {
-            let d = c.delta_pct();
-            let flag = if c.regressed(threshold_pct) {
-                "  <-- DRIFT"
-            } else {
-                ""
+/// Renders `rows` as a baseline file, one row per line: the naming
+/// fields first, then the counters, each group in field order.
+fn render(rows: &[Row]) -> String {
+    let lines: Vec<String> = rows
+        .iter()
+        .map(|row| {
+            let mut fields: Vec<_> = row.0.iter().collect();
+            fields.sort_by_key(|(_, v)| matches!(v, Value::Count(_)));
+            let fields: Vec<String> = fields
+                .iter()
+                .map(|(field, v)| format!("{}: {v}", json_str(field)))
+                .collect();
+            format!("  {{{}}}", fields.join(", "))
+        })
+        .collect();
+    format!("{{\"rows\": [\n{}\n]}}\n", lines.join(",\n"))
+}
+
+/// Decodes a baseline file. It must be `{"rows": [row, …]}` and nothing
+/// else, with at least one row. Each row must be a flat object of
+/// strings and non-negative integers with at least one string, and no
+/// two rows may share a name.
+pub(crate) fn decode(text: &str) -> Result<Vec<Row>, String> {
+    let doc = Json::parse(text).map_err(|e| e.to_string())?;
+    let rows = match &doc {
+        Json::Obj(top) if top.len() == 1 => top.get("rows").and_then(Json::as_arr),
+        _ => None,
+    }
+    .ok_or("expected {\"rows\": [...]} and nothing else")?;
+    if rows.is_empty() {
+        return Err("no rows: a gate that compares nothing must not pass".into());
+    }
+    let mut out = Vec::with_capacity(rows.len());
+    for (i, row) in rows.iter().enumerate() {
+        let Json::Obj(fields) = row else {
+            return Err(format!("row {i} is not an object"));
+        };
+        let mut decoded = Row::default();
+        for (field, v) in fields {
+            decoded = match (v, v.as_u64()) {
+                (Json::Str(s), _) => decoded.name(field, s),
+                (_, Some(n)) => decoded.count(field, n),
+                _ => {
+                    return Err(format!(
+                        "row {i}: {field} is neither a string nor a non-negative integer"
+                    ))
+                }
             };
-            let delta = if d.is_nan() {
-                "n/a".to_string()
-            } else {
-                format!("{d:+.2}%")
-            };
-            out.push_str(&format!(
-                "{:<40} {:<8} baseline {:>14.1} current {:>14.1} {:>9}{}\n",
-                c.key, c.metric, c.baseline, c.current, delta, flag
-            ));
         }
-        for e in &self.errors {
-            out.push_str(&format!("error: {e}\n"));
-        }
-        let n = self.regressions(threshold_pct).len();
-        out.push_str(&format!(
-            "{} metrics compared, {} drift(s), {} error(s) at threshold ±{threshold_pct}%\n",
-            self.cases.len(),
-            n,
-            self.errors.len()
-        ));
-        out
+        out.push(decoded);
     }
+    index(&out)?;
+    Ok(out)
 }
 
-/// A fresh engine-comparison measurement: the deterministic counters of
-/// one (build, kernel) cell.
-#[derive(Debug, Clone)]
-pub struct FreshCounters {
-    /// Build configuration name, as the baseline records it.
-    pub build: String,
-    /// Kernel name.
-    pub kernel: String,
-    /// Instructions executed.
-    pub insts: u64,
-    /// Simulated cycles.
-    pub cycles: u64,
+/// `rows` by name. A row without a name, or two with the same one, is
+/// an error.
+fn index(rows: &[Row]) -> Result<BTreeMap<String, &Row>, String> {
+    let mut by_key = BTreeMap::new();
+    for (i, row) in rows.iter().enumerate() {
+        let key = row.key();
+        if key.is_empty() {
+            return Err(format!("row {i} has no string field to name it"));
+        }
+        if by_key.insert(key.clone(), row).is_some() {
+            return Err(format!("[{key}]: duplicate row name"));
+        }
+    }
+    Ok(by_key)
 }
 
-/// Compares fresh engine-comparison counters against the recorded
-/// `engine_compare.json` baseline. Every baseline row must find a
-/// fresh counterpart (a missing one is an error — the gate must not
-/// quietly shrink its coverage); wall-clock columns are ignored.
-pub fn check_engine_compare(baseline: &Json, fresh: &[FreshCounters]) -> DriftReport {
-    let mut report = DriftReport::default();
-    let Some(rows) = baseline.get("rows").and_then(Json::as_arr) else {
-        report
-            .errors
-            .push("engine_compare baseline: no \"rows\" array".into());
-        return report;
+/// Every difference between `recorded` and `fresh`: a changed value, and
+/// a row or a field present on one side only. Empty when they match
+/// exactly.
+fn diff(recorded: &[Row], fresh: &[Row]) -> Vec<String> {
+    let (recorded_by_key, fresh_by_key) = match (index(recorded), index(fresh)) {
+        (Ok(r), Ok(f)) => (r, f),
+        (r, f) => {
+            let r = r.err().map(|e| format!("recorded rows: {e}"));
+            let f = f.err().map(|e| format!("fresh rows: {e}"));
+            return r.into_iter().chain(f).collect();
+        }
     };
-    for row in rows {
-        let (Some(build), Some(kernel)) = (
-            row.get("build").and_then(Json::as_str),
-            row.get("kernel").and_then(Json::as_str),
-        ) else {
-            report
-                .errors
-                .push("engine_compare baseline: row without build/kernel".into());
+    let mut out = Vec::new();
+    for was in recorded {
+        let key = was.key();
+        let Some(now) = fresh_by_key.get(&key) else {
+            out.push(format!("[{key}]: recorded row missing from the fresh run"));
             continue;
         };
-        let key = format!("engine_compare/{build}/{kernel}");
-        let Some(f) = fresh
-            .iter()
-            .find(|f| f.build == build && f.kernel == kernel)
-        else {
-            report
-                .errors
-                .push(format!("{key}: no fresh measurement for this baseline row"));
-            continue;
-        };
-        for (metric, current) in [("insts", f.insts as f64), ("cycles", f.cycles as f64)] {
-            match row.get(metric).and_then(Json::as_f64) {
-                Some(baseline_v) => report.cases.push(DriftCase {
-                    key: key.clone(),
-                    metric: metric.into(),
-                    baseline: baseline_v,
-                    current,
-                }),
-                None => report
-                    .errors
-                    .push(format!("{key}: baseline row lacks \"{metric}\"")),
+        for (field, v) in &was.0 {
+            match now.0.get(field) {
+                None => out.push(format!("[{key}] {field}: recorded {v}, fresh row lacks it")),
+                Some(n) if n != v => out.push(format!("[{key}] {field}: recorded {v}, fresh {n}")),
+                Some(_) => {}
+            }
+        }
+        for (field, n) in &now.0 {
+            if !was.0.contains_key(field) {
+                out.push(format!("[{key}] {field}: fresh {n}, not recorded"));
             }
         }
     }
-    if report.cases.is_empty() && report.errors.is_empty() {
-        report
-            .errors
-            .push("engine_compare baseline: empty rows array".into());
-    }
-    report
-}
-
-/// Compares fresh per-entry store-residency numbers against the
-/// `memory_overhead.json` baseline: `(org name, compact bytes/entry)`.
-pub fn check_memory_overhead(baseline: &Json, fresh: &[(String, f64)]) -> DriftReport {
-    let mut report = DriftReport::default();
-    let Some(orgs) = baseline.get("orgs").and_then(Json::as_arr) else {
-        report
-            .errors
-            .push("memory_overhead baseline: no \"orgs\" array".into());
-        return report;
-    };
-    for row in orgs {
-        let Some(org) = row.get("org").and_then(Json::as_str) else {
-            report
-                .errors
-                .push("memory_overhead baseline: org row without name".into());
-            continue;
-        };
-        let key = format!("memory_overhead/{org}");
-        let Some(&(_, current)) = fresh.iter().find(|(name, _)| name == org) else {
-            report
-                .errors
-                .push(format!("{key}: no fresh measurement for this baseline row"));
-            continue;
-        };
-        match row.get("compact_bytes_per_entry").and_then(Json::as_f64) {
-            Some(b) => report.cases.push(DriftCase {
-                key,
-                metric: "bytes_per_entry".into(),
-                baseline: b,
-                current,
-            }),
-            None => report
-                .errors
-                .push(format!("{key}: baseline row lacks compact_bytes_per_entry")),
+    for now in fresh {
+        let key = now.key();
+        if !recorded_by_key.contains_key(&key) {
+            out.push(format!("[{key}]: fresh row not recorded"));
         }
     }
-    report
+    out
 }
 
-/// One fresh counter row of a PAC-era baseline (`defense_matrix.json`
-/// `pac_rows`, `spec_overhead.json` `rows`): the deterministic
-/// execution counters of one (build, workload) cell, PAC sign/auth
-/// included, plus whether the run trapped. Trapping cells are *still
-/// gated*: a PACTight-incompatible workload (memcpy'd sealed callback
-/// records) dies at a deterministic point, so its counters drift like
-/// any other — and a cell silently flipping between trapping and clean
-/// is itself a defense-semantics change that must be acknowledged.
-#[derive(Debug, Clone)]
-pub struct CounterRow {
-    /// Row identity, as the baseline's `id` key records it
-    /// (e.g. `PAC/dispatch`, `gcc/PACTight`).
-    pub id: String,
-    /// Instructions executed.
-    pub insts: u64,
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Pointers sealed.
-    pub pac_signs: u64,
-    /// Seals authenticated.
-    pub pac_auths: u64,
-    /// Whether the run ended in a trap instead of a clean exit.
-    pub trapped: bool,
+/// Re-measures the rows of one baseline file.
+type Collector = fn() -> Vec<Row>;
+
+/// The gated files and the collector that measures each.
+pub(crate) const BASELINES: &[(&str, Collector)] = &[
+    ("engine_compare.json", collect::engine_compare),
+    ("memory_overhead.json", collect::memory_overhead),
+    ("defense_matrix.json", collect::defense_matrix),
+    ("spec_overhead.json", collect::spec_overhead),
+    ("webserver_throughput.json", collect::webserver_throughput),
+    ("profile_attribution.json", collect::profile_attribution),
+];
+
+/// Where the recorded files live: `crates/bench/baselines/`.
+pub fn baseline_dir() -> PathBuf {
+    [env!("CARGO_MANIFEST_DIR"), "baselines"].iter().collect()
 }
 
-/// Compares fresh [`CounterRow`]s against a baseline's `array_key`
-/// rows. Counters are gated two-sided at the threshold like every
-/// other deterministic counter; a counter that was zero on one side
-/// and nonzero on the other is an error (a ±% gate cannot price
-/// appearing/disappearing instrumentation), zero-to-zero matches pass
-/// silently, and a flipped `trapped` verdict is an error.
-pub fn check_counter_rows(section: &str, baseline: &Json, fresh: &[CounterRow]) -> DriftReport {
-    let mut report = DriftReport::default();
-    let Some(rows) = baseline.get("rows").and_then(Json::as_arr) else {
-        report
-            .errors
-            .push(format!("{section} baseline: no \"rows\" array"));
-        return report;
-    };
-    for row in rows {
-        let Some(id) = row.get("id").and_then(Json::as_str) else {
-            report
-                .errors
-                .push(format!("{section} baseline: row without \"id\""));
-            continue;
-        };
-        let key = format!("{section}/{id}");
-        let Some(f) = fresh.iter().find(|f| f.id == id) else {
-            report
-                .errors
-                .push(format!("{key}: no fresh measurement for this baseline row"));
-            continue;
-        };
-        match row.get("trapped").and_then(Json::as_bool) {
-            Some(b) if b != f.trapped => report.errors.push(format!(
-                "{key}: trap verdict flipped (baseline trapped={b}, fresh trapped={})",
-                f.trapped
-            )),
-            Some(_) => {}
-            None => report
-                .errors
-                .push(format!("{key}: baseline row lacks \"trapped\"")),
-        }
-        for (metric, current) in [
-            ("insts", f.insts as f64),
-            ("cycles", f.cycles as f64),
-            ("pac_signs", f.pac_signs as f64),
-            ("pac_auths", f.pac_auths as f64),
-        ] {
-            match row.get(metric).and_then(Json::as_f64) {
-                Some(b) if b == 0.0 && current == 0.0 => {}
-                Some(b) if b == 0.0 || current == 0.0 => report.errors.push(format!(
-                    "{key}: {metric} went {b} -> {current} — a counter \
-                     (dis)appearing outright needs a re-recorded baseline"
-                )),
-                Some(b) => report.cases.push(DriftCase {
-                    key: key.clone(),
-                    metric: metric.into(),
-                    baseline: b,
-                    current,
-                }),
-                None => report
-                    .errors
-                    .push(format!("{key}: baseline row lacks \"{metric}\"")),
+/// Collects every baseline fresh and diffs it against its file in
+/// `dir`. `Ok` carries the number of recorded counters compared;
+/// `Err` every difference and unreadable file, each prefixed with its
+/// file name.
+pub fn check(dir: &Path) -> Result<usize, Vec<String>> {
+    let mut compared = 0;
+    let mut failures = Vec::new();
+    for (file, collect) in BASELINES {
+        let fresh = collect();
+        let recorded = std::fs::read_to_string(dir.join(file))
+            .map_err(|e| e.to_string())
+            .and_then(|text| decode(&text));
+        match recorded {
+            Ok(rows) => {
+                compared += rows.iter().map(Row::counters).sum::<usize>();
+                failures.extend(diff(&rows, &fresh).iter().map(|d| format!("{file} {d}")));
             }
+            Err(e) => failures.push(format!("{file}: {e}")),
         }
     }
-    if report.cases.is_empty() && report.errors.is_empty() {
-        report
-            .errors
-            .push(format!("{section} baseline: empty rows array"));
+    if failures.is_empty() {
+        Ok(compared)
+    } else {
+        Err(failures)
     }
-    report
 }
 
-/// Compares fresh RIPE verdict tallies — `(mechanism, hijacked,
-/// detected)` at the recorded seed — against the `defense_matrix.json`
-/// baseline's `verdicts` rows. Verdict counts are **exact**, not
-/// thresholded: they are small discrete outcomes of the attack matrix
-/// (144 → 137 hijacks would sail through a ±5% gate while silently
-/// weakening a defense), so any difference is an error until the
-/// baseline is re-recorded alongside the change that explains it.
-pub fn check_ripe_verdicts(baseline: &Json, fresh: &[(String, usize, usize)]) -> DriftReport {
-    let mut report = DriftReport::default();
-    let Some(rows) = baseline.get("verdicts").and_then(Json::as_arr) else {
-        report
-            .errors
-            .push("defense_matrix baseline: no \"verdicts\" array".into());
-        return report;
-    };
-    let mut compared = 0usize;
-    for row in rows {
-        let Some(mech) = row.get("mechanism").and_then(Json::as_str) else {
-            report
-                .errors
-                .push("defense_matrix baseline: verdict row without mechanism".into());
-            continue;
-        };
-        let key = format!("defense_matrix/{mech}");
-        let Some(&(_, hijacked, detected)) = fresh.iter().find(|(name, _, _)| name == mech) else {
-            report
-                .errors
-                .push(format!("{key}: no fresh tally for this baseline row"));
-            continue;
-        };
-        for (metric, current) in [("hijacked", hijacked), ("detected", detected)] {
-            match row.get(metric).and_then(Json::as_f64) {
-                Some(b) if b == current as f64 => compared += 1,
-                Some(b) => report.errors.push(format!(
-                    "{key}: {metric} changed {b} -> {current} (verdict counts \
-                     are exact; re-record the baseline with the change that \
-                     explains this)"
-                )),
-                None => report
-                    .errors
-                    .push(format!("{key}: baseline row lacks \"{metric}\"")),
-            }
-        }
+/// Rewrites every baseline file in `dir` from its collector.
+pub fn record(dir: &Path) -> std::io::Result<()> {
+    for (file, collect) in BASELINES {
+        std::fs::write(dir.join(file), render(&collect()))?;
     }
-    if compared == 0 && report.errors.is_empty() {
-        report
-            .errors
-            .push("defense_matrix baseline: empty verdicts array".into());
-    }
-    report
-}
-
-/// Compares fresh per-request snapshot-reset costs against the
-/// `webserver_throughput.json` baseline: `(page, pages dirtied per
-/// request, bytes restored per request)`. Throughput columns in that
-/// baseline are wall-clock and stay ungated; the reset cost is a
-/// *deterministic* counter (the same request dirties the same pages
-/// every time — the in-bin assert pins that), so growth here means the
-/// copy-on-write restore got genuinely more expensive, e.g. a new
-/// always-dirty page crept into the request path.
-pub fn check_webserver_reset(baseline: &Json, fresh: &[(String, u64, u64)]) -> DriftReport {
-    let mut report = DriftReport::default();
-    let Some(pages) = baseline.get("pages").and_then(Json::as_arr) else {
-        report
-            .errors
-            .push("webserver_throughput baseline: no \"pages\" array".into());
-        return report;
-    };
-    for row in pages {
-        let Some(page) = row.get("page").and_then(Json::as_str) else {
-            report
-                .errors
-                .push("webserver_throughput baseline: page row without name".into());
-            continue;
-        };
-        let key = format!("webserver_throughput/{page}");
-        let Some(&(_, pages_dirtied, bytes_restored)) =
-            fresh.iter().find(|(name, _, _)| name == page)
-        else {
-            report
-                .errors
-                .push(format!("{key}: no fresh measurement for this baseline row"));
-            continue;
-        };
-        for (metric, current) in [
-            ("pages_dirtied", pages_dirtied as f64),
-            ("bytes_restored", bytes_restored as f64),
-        ] {
-            match row.get(metric).and_then(Json::as_f64) {
-                Some(b) => report.cases.push(DriftCase {
-                    key: key.clone(),
-                    metric: metric.into(),
-                    baseline: b,
-                    current,
-                }),
-                None => report
-                    .errors
-                    .push(format!("{key}: baseline row lacks \"{metric}\"")),
-            }
-        }
-    }
-    if report.cases.is_empty() && report.errors.is_empty() {
-        report
-            .errors
-            .push("webserver_throughput baseline: empty pages array".into());
-    }
-    report
-}
-
-/// Compares fresh pool-served per-request counters against the
-/// `webserver_throughput.json` baseline's `pool_pages` rows: `(page,
-/// insts per request, cycles per request)`, measured through a
-/// multi-worker `SessionPool`. These are deterministic (pool serving
-/// is bit-identical to serial serving at any worker count — the pool
-/// proptest pins that), so drift here means sharded serving diverged
-/// from the serial cost model. The per-worker-count rps rows in the
-/// same baseline are wall-clock and stay ungated.
-pub fn check_webserver_pool(baseline: &Json, fresh: &[(String, u64, u64)]) -> DriftReport {
-    let mut report = DriftReport::default();
-    let Some(pages) = baseline.get("pool_pages").and_then(Json::as_arr) else {
-        report
-            .errors
-            .push("webserver_throughput baseline: no \"pool_pages\" array".into());
-        return report;
-    };
-    for row in pages {
-        let Some(page) = row.get("page").and_then(Json::as_str) else {
-            report
-                .errors
-                .push("webserver_throughput baseline: pool_pages row without name".into());
-            continue;
-        };
-        let key = format!("webserver_throughput/pool/{page}");
-        let Some(&(_, insts, cycles)) = fresh.iter().find(|(name, _, _)| name == page) else {
-            report
-                .errors
-                .push(format!("{key}: no fresh measurement for this baseline row"));
-            continue;
-        };
-        for (metric, current) in [("insts", insts as f64), ("cycles", cycles as f64)] {
-            match row.get(metric).and_then(Json::as_f64) {
-                Some(b) => report.cases.push(DriftCase {
-                    key: key.clone(),
-                    metric: metric.into(),
-                    baseline: b,
-                    current,
-                }),
-                None => report
-                    .errors
-                    .push(format!("{key}: baseline row lacks \"{metric}\"")),
-            }
-        }
-    }
-    if report.cases.is_empty() && report.errors.is_empty() {
-        report
-            .errors
-            .push("webserver_throughput baseline: empty pool_pages array".into());
-    }
-    report
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn baseline() -> Json {
-        Json::parse(
-            r#"{
-              "rows": [
-                {"build": "vanilla", "kernel": "dispatch", "insts": 1000000, "cycles": 2000000, "walk_ms": 14.9},
-                {"build": "CPI", "kernel": "dispatch", "insts": 1100000, "cycles": 2600000, "walk_ms": 16.4}
-              ]
-            }"#,
-        )
-        .expect("doctored baseline parses")
+    fn cell(build: &str, cycles: u64) -> Row {
+        Row::default()
+            .name("build", build)
+            .name("kernel", "dispatch")
+            .count("insts", 1_000_000)
+            .count("cycles", cycles)
     }
 
-    fn fresh(c_vanilla: u64, c_cpi: u64) -> Vec<FreshCounters> {
-        vec![
-            FreshCounters {
-                build: "vanilla".into(),
-                kernel: "dispatch".into(),
-                insts: 1_000_000,
-                cycles: c_vanilla,
-            },
-            FreshCounters {
-                build: "CPI".into(),
-                kernel: "dispatch".into(),
-                insts: 1_100_000,
-                cycles: c_cpi,
-            },
-        ]
+    fn rows() -> Vec<Row> {
+        vec![cell("vanilla", 2_000_000), cell("CPI", 2_600_000)]
+    }
+
+    /// The rows of a recorded baseline file.
+    fn recorded(file: &str) -> Vec<Row> {
+        let text = std::fs::read_to_string(baseline_dir().join(file)).expect("file exists");
+        decode(&text).unwrap_or_else(|e| panic!("{file}: {e}"))
+    }
+
+    /// `rows` with counter `field` of row `key` moved by `delta`.
+    fn moved(rows: &[Row], key: &str, field: &str, delta: i64) -> Vec<Row> {
+        let mut out = rows.to_vec();
+        let row = out
+            .iter_mut()
+            .find(|r| r.key() == key)
+            .unwrap_or_else(|| panic!("no row [{key}]"));
+        let Some(Value::Count(v)) = row.0.get(field) else {
+            panic!("[{key}] has no counter {field}");
+        };
+        *row = row
+            .clone()
+            .count(field, v.checked_add_signed(delta).unwrap());
+        out
     }
 
     #[test]
     fn identical_counters_pass() {
-        let r = check_engine_compare(&baseline(), &fresh(2_000_000, 2_600_000));
-        assert!(r.ok(DEFAULT_THRESHOLD_PCT), "{}", r.render(5.0));
-        assert_eq!(r.cases.len(), 4);
+        assert_eq!(diff(&rows(), &rows()), Vec::<String>::new());
     }
 
     #[test]
-    fn a_six_percent_cycle_regression_fails_the_five_percent_gate() {
-        // 2_000_000 -> 2_120_000 is +6%: past the 5% default gate.
-        let r = check_engine_compare(&baseline(), &fresh(2_120_000, 2_600_000));
-        assert!(!r.ok(DEFAULT_THRESHOLD_PCT));
-        let regs = r.regressions(DEFAULT_THRESHOLD_PCT);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].key, "engine_compare/vanilla/dispatch");
-        assert_eq!(regs[0].metric, "cycles");
-        assert!((regs[0].delta_pct() - 6.0).abs() < 1e-9);
-        // …and passes a loosened gate.
-        assert!(r.ok(10.0));
+    fn every_difference_is_reported() {
+        let recorded = vec![
+            cell("vanilla", 2_000_000),
+            cell("CPI", 2_600_000),
+            cell("PAC", 2_700_000).count("pac_signs", 60_002),
+        ];
+        let fresh = vec![
+            cell("vanilla", 2_000_001),               // changed value
+            cell("PAC", 2_700_000).count("walk", 15), // missing + extra field
+            cell("PACTight", 2_700_000),              // extra row
+        ]; // and the CPI row is missing
+        let report = diff(&recorded, &fresh);
+        assert_eq!(
+            report,
+            [
+                "[build=vanilla kernel=dispatch] cycles: recorded 2000000, fresh 2000001",
+                "[build=CPI kernel=dispatch]: recorded row missing from the fresh run",
+                "[build=PAC kernel=dispatch] pac_signs: recorded 60002, fresh row lacks it",
+                "[build=PAC kernel=dispatch] walk: fresh 15, not recorded",
+                "[build=PACTight kernel=dispatch]: fresh row not recorded",
+            ]
+        );
     }
 
-    #[test]
-    fn small_in_threshold_improvements_pass() {
-        // 2_600_000 -> 2_500_000 is -3.8%: inside the ±5% gate.
-        let r = check_engine_compare(&baseline(), &fresh(2_000_000, 2_500_000));
-        assert!(r.ok(DEFAULT_THRESHOLD_PCT), "{}", r.render(5.0));
-    }
-
-    /// The gate is two-sided: on a deterministic counter an
-    /// unexplained drop is the signature of an under-counting bug and
-    /// must fail until the baseline is re-recorded alongside the
-    /// change that explains it.
+    /// A drop on a deterministic counter is as often an under-counting
+    /// bug as a win, so it fails exactly like growth, by any amount.
     #[test]
     fn an_unexplained_drop_fails_like_growth() {
-        // 2_000_000 -> 1_500_000 is -25%: far past the ±5% gate.
-        let r = check_engine_compare(&baseline(), &fresh(1_500_000, 2_600_000));
-        assert!(!r.ok(DEFAULT_THRESHOLD_PCT));
-        let regs = r.regressions(DEFAULT_THRESHOLD_PCT);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].metric, "cycles");
-        assert!(regs[0].delta_pct() < 0.0, "the drift is a drop");
-        // A -6% drop also fails at 5% but passes a loosened ±10% gate.
-        let r = check_engine_compare(&baseline(), &fresh(1_880_000, 2_600_000));
-        assert!(!r.ok(DEFAULT_THRESHOLD_PCT));
-        assert!(r.ok(10.0));
+        for cycles in [1_999_999, 2_000_001, 1_880_000, 2_120_000] {
+            let fresh = [cell("vanilla", cycles), cell("CPI", 2_600_000)];
+            let report = diff(&rows(), &fresh);
+            assert_eq!(report.len(), 1, "{report:?}");
+            assert!(report[0].contains(&format!("fresh {cycles}")));
+        }
     }
 
     #[test]
     fn missing_fresh_rows_and_shapes_are_errors_not_passes() {
-        let r = check_engine_compare(&baseline(), &fresh(2_000_000, 2_600_000)[..1]);
-        assert!(!r.ok(DEFAULT_THRESHOLD_PCT));
-        assert_eq!(r.errors.len(), 1);
-
-        let r = check_engine_compare(&Json::parse("{}").unwrap(), &fresh(1, 1));
-        assert!(!r.ok(DEFAULT_THRESHOLD_PCT));
+        assert_eq!(diff(&rows(), &[]).len(), 2);
+        for bad in [
+            "",
+            "{}",
+            r#"{"rows": [{"build": "CPI", "cycles": 1}], "aggregate": {}}"#,
+            r#"{"rows": {"build": "CPI"}}"#,
+            r#"{"rows": [["CPI", 1]]}"#,
+            r#"{"rows": [{"build": "CPI", "walk_ms": 14.9}]}"#,
+            r#"{"rows": [{"build": "CPI", "delta": -1}]}"#,
+            r#"{"rows": [{"build": "CPI", "trapped": false}]}"#,
+            r#"{"rows": [{"build": "CPI", "fused": [{"op": "CmpBr"}]}]}"#,
+            r#"{"rows": [{"cycles": 1}]}"#,
+        ] {
+            assert!(decode(bad).is_err(), "{bad:?} must not decode");
+        }
     }
 
     #[test]
     fn degenerate_baselines_are_flagged_not_ignored() {
-        let doctored = Json::parse(
-            r#"{"rows": [{"build": "vanilla", "kernel": "dispatch", "insts": 0, "cycles": 0}]}"#,
-        )
-        .unwrap();
-        let r = check_engine_compare(&doctored, &fresh(2_000_000, 2_600_000));
-        assert!(!r.ok(DEFAULT_THRESHOLD_PCT));
-        assert!(r.regressions(DEFAULT_THRESHOLD_PCT).len() == 2);
-        assert!(r.render(5.0).contains("n/a"));
+        let err = decode(r#"{"rows": []}"#).unwrap_err();
+        assert!(err.contains("no rows"), "{err}");
+        // Zero is a value like any other, not an undefined ratio.
+        let zero = [cell("vanilla", 0), cell("CPI", 2_600_000)];
+        assert_eq!(diff(&zero, &rows()).len(), 1);
+        assert_eq!(diff(&rows(), &zero).len(), 1);
+    }
+
+    #[test]
+    fn duplicate_row_names_are_errors() {
+        let page = r#"{"page": "static-page", "insts": 16154, "cycles": 23668}"#;
+        let err = decode(&format!("{{\"rows\": [{page}, {page}]}}")).unwrap_err();
+        assert_eq!(err, "[page=static-page]: duplicate row name");
+        let twice = [cell("CPI", 1), cell("CPI", 2)];
+        assert_eq!(
+            diff(&rows(), &twice),
+            ["fresh rows: [build=CPI kernel=dispatch]: duplicate row name"]
+        );
+    }
+
+    #[test]
+    fn render_then_decode_round_trips() {
+        let hostile = Row::default()
+            .name("func", "quote\" back\\slash\n名前")
+            .count("calls", u64::from(u32::MAX) + 1);
+        let rows = [rows(), vec![hostile]].concat();
+        let text = render(&rows);
+        assert_eq!(decode(&text), Ok(rows));
+        // Names come first and `cycles` is followed by another field:
+        // the benchmark package edits the first `"cycles": ` count of
+        // `engine_compare.json` up to the next comma.
+        assert!(text.starts_with(
+            "{\"rows\": [\n  {\"build\": \"vanilla\", \"kernel\": \"dispatch\", \
+             \"cycles\": 2000000, \"insts\": 1000000},\n"
+        ));
     }
 
     #[test]
     fn webserver_reset_cost_gates_dirty_page_growth() {
-        let b = Json::parse(
-            r#"{"pages": [
-                {"page": "static-page", "resident_rps": 834, "pages_dirtied": 4, "bytes_restored": 8192},
-                {"page": "dynamic-page", "resident_rps": 572, "pages_dirtied": 4, "bytes_restored": 4096}
-            ]}"#,
-        )
-        .unwrap();
-        let ok = check_webserver_reset(
-            &b,
-            &[
-                ("static-page".into(), 4, 8192),
-                ("dynamic-page".into(), 4, 4096),
-            ],
-        );
-        assert!(ok.ok(DEFAULT_THRESHOLD_PCT), "{}", ok.render(5.0));
-        assert_eq!(ok.cases.len(), 4);
-
-        // One extra always-dirty page (4 -> 5 is +25%) trips the gate.
-        let grew = check_webserver_reset(
-            &b,
-            &[
-                ("static-page".into(), 5, 12288),
-                ("dynamic-page".into(), 4, 4096),
-            ],
-        );
-        assert!(!grew.ok(DEFAULT_THRESHOLD_PCT));
-        assert_eq!(grew.regressions(DEFAULT_THRESHOLD_PCT).len(), 2);
-
-        // A shrink past the threshold trips the two-sided gate too:
-        // fewer pages restored than recorded means either the restore
-        // stopped covering dirt (a bug) or a genuine improvement that
-        // must land with a re-recorded baseline.
-        let shrank = check_webserver_reset(
-            &b,
-            &[
-                ("static-page".into(), 3, 4096),
-                ("dynamic-page".into(), 4, 4096),
-            ],
-        );
-        assert!(!shrank.ok(DEFAULT_THRESHOLD_PCT), "{}", shrank.render(5.0));
-        assert_eq!(shrank.regressions(DEFAULT_THRESHOLD_PCT).len(), 2);
-
-        // A baseline page with no fresh twin is an error, not a pass.
-        let missing = check_webserver_reset(&b, &[("static-page".into(), 4, 8192)]);
-        assert!(!missing.ok(DEFAULT_THRESHOLD_PCT));
-        assert_eq!(missing.errors.len(), 1);
-
-        // Pre-snapshot baselines (no reset columns) are flagged so the
-        // baseline refresh cannot be forgotten.
-        let stale =
-            Json::parse(r#"{"pages": [{"page": "static-page", "resident_rps": 834}]}"#).unwrap();
-        let r = check_webserver_reset(&stale, &[("static-page".into(), 4, 8192)]);
-        assert!(!r.ok(DEFAULT_THRESHOLD_PCT));
-        assert_eq!(r.errors.len(), 2);
+        let rows = recorded("webserver_throughput.json");
+        for page in ["static-page", "wsgi-test-page", "dynamic-page"] {
+            let key = format!("page={page}");
+            for field in ["pages_dirtied", "bytes_restored"] {
+                assert_eq!(diff(&rows, &moved(&rows, &key, field, 1)).len(), 1);
+            }
+        }
     }
 
     #[test]
     fn pool_counters_are_gated_two_sided() {
-        let b = Json::parse(
-            r#"{"pool_pages": [
-                {"page": "static-page", "insts": 52000, "cycles": 161000},
-                {"page": "dynamic-page", "insts": 87000, "cycles": 270000}
-            ]}"#,
-        )
-        .unwrap();
-        let ok = check_webserver_pool(
-            &b,
-            &[
-                ("static-page".into(), 52_000, 161_000),
-                ("dynamic-page".into(), 87_000, 270_000),
-            ],
-        );
-        assert!(ok.ok(DEFAULT_THRESHOLD_PCT), "{}", ok.render(5.0));
-        assert_eq!(ok.cases.len(), 4);
-
-        // Growth and shrink both trip the gate.
-        for cycles in [200_000u64, 120_000] {
-            let drifted = check_webserver_pool(
-                &b,
-                &[
-                    ("static-page".into(), 52_000, cycles),
-                    ("dynamic-page".into(), 87_000, 270_000),
-                ],
-            );
-            assert!(!drifted.ok(DEFAULT_THRESHOLD_PCT));
-            assert_eq!(drifted.regressions(DEFAULT_THRESHOLD_PCT).len(), 1);
-        }
-
-        // A baseline predating the pool section is an error, not a
-        // pass: the refresh cannot be forgotten.
-        let stale = Json::parse(r#"{"pages": []}"#).unwrap();
-        let r = check_webserver_pool(&stale, &[("static-page".into(), 1, 1)]);
-        assert!(!r.ok(DEFAULT_THRESHOLD_PCT));
-    }
-
-    fn pac_row(id: &str, cycles: u64, signs: u64, auths: u64, trapped: bool) -> CounterRow {
-        CounterRow {
-            id: id.into(),
-            insts: 50_000,
-            cycles,
-            pac_signs: signs,
-            pac_auths: auths,
-            trapped,
+        let rows = recorded("webserver_throughput.json");
+        for field in ["insts", "cycles"] {
+            for delta in [-1, 1] {
+                let fresh = moved(&rows, "page=dynamic-page", field, delta);
+                assert_eq!(diff(&rows, &fresh).len(), 1);
+            }
         }
     }
 
     #[test]
     fn pac_counter_rows_are_gated_two_sided() {
-        let b = Json::parse(
-            r#"{"rows": [
-                {"id": "PAC/dispatch", "insts": 50000, "cycles": 200000,
-                 "pac_signs": 4000, "pac_auths": 4000, "trapped": false},
-                {"id": "vanilla/dispatch", "insts": 50000, "cycles": 150000,
-                 "pac_signs": 0, "pac_auths": 0, "trapped": false}
-            ]}"#,
-        )
-        .unwrap();
-        let ok = check_counter_rows(
-            "defense_matrix",
-            &b,
-            &[
-                pac_row("PAC/dispatch", 200_000, 4_000, 4_000, false),
-                pac_row("vanilla/dispatch", 150_000, 0, 0, false),
-            ],
-        );
-        assert!(ok.ok(DEFAULT_THRESHOLD_PCT), "{}", ok.render(5.0));
-        // Zero-to-zero PAC counters on the vanilla row compare silently:
-        // 2 insts + 2 cycles + the PAC pair of the PAC row.
-        assert_eq!(ok.cases.len(), 6);
-
-        // Sign-count growth and shrink both trip the gate (an
-        // under-counting bug shrinks a deterministic counter silently).
-        for signs in [5_000u64, 3_000] {
-            let drifted = check_counter_rows(
-                "defense_matrix",
-                &b,
-                &[
-                    pac_row("PAC/dispatch", 200_000, signs, 4_000, false),
-                    pac_row("vanilla/dispatch", 150_000, 0, 0, false),
-                ],
-            );
-            assert!(!drifted.ok(DEFAULT_THRESHOLD_PCT));
-            let regs = drifted.regressions(DEFAULT_THRESHOLD_PCT);
-            assert_eq!(regs.len(), 1);
-            assert_eq!(regs[0].metric, "pac_signs");
+        for (file, key) in [
+            ("defense_matrix.json", "build=PAC kernel=dispatch"),
+            ("spec_overhead.json", "build=PACTight workload=gcc"),
+        ] {
+            let rows = recorded(file);
+            for field in ["pac_signs", "pac_auths"] {
+                for delta in [-1, 1] {
+                    let fresh = moved(&rows, key, field, delta);
+                    assert_eq!(diff(&rows, &fresh).len(), 1, "{file} [{key}] {field}");
+                }
+            }
         }
-
-        // A counter appearing from (or collapsing to) zero is an error,
-        // not a percentage: ±% cannot price new instrumentation.
-        let appeared = check_counter_rows(
-            "defense_matrix",
-            &b,
-            &[
-                pac_row("PAC/dispatch", 200_000, 4_000, 4_000, false),
-                pac_row("vanilla/dispatch", 150_000, 7, 0, false),
-            ],
+        // A PACTight-incompatible cell quietly starting to pass is a
+        // defense-semantics change.
+        let rows = recorded("spec_overhead.json");
+        let fresh = moved(&rows, "build=PACTight workload=gcc", "trapped", -1);
+        assert_eq!(
+            diff(&rows, &fresh),
+            ["[build=PACTight workload=gcc] trapped: recorded 1, fresh 0"]
         );
-        assert!(!appeared.ok(DEFAULT_THRESHOLD_PCT));
-        assert_eq!(appeared.errors.len(), 1);
-
-        // A flipped trap verdict is an error: a PACTight-incompatible
-        // cell quietly starting to pass is a defense-semantics change.
-        let flipped = check_counter_rows(
-            "defense_matrix",
-            &b,
-            &[
-                pac_row("PAC/dispatch", 200_000, 4_000, 4_000, true),
-                pac_row("vanilla/dispatch", 150_000, 0, 0, false),
-            ],
-        );
-        assert!(!flipped.ok(DEFAULT_THRESHOLD_PCT));
-        assert!(flipped.errors[0].contains("trap verdict flipped"));
-
-        // Missing fresh rows and missing baselines are errors.
-        let missing = check_counter_rows(
-            "defense_matrix",
-            &b,
-            &[pac_row("PAC/dispatch", 200_000, 4_000, 4_000, false)],
-        );
-        assert!(!missing.ok(DEFAULT_THRESHOLD_PCT));
-        let r = check_counter_rows("spec_overhead", &Json::parse("{}").unwrap(), &[]);
-        assert!(!r.ok(DEFAULT_THRESHOLD_PCT));
     }
 
     #[test]
     fn ripe_verdicts_are_exact_not_thresholded() {
-        let b = Json::parse(
-            r#"{"verdicts": [
-                {"mechanism": "CPI", "hijacked": 0, "detected": 160},
-                {"mechanism": "PAC", "hijacked": 16, "detected": 144}
-            ]}"#,
-        )
-        .unwrap();
-        let ok = check_ripe_verdicts(&b, &[("CPI".into(), 0, 160), ("PAC".into(), 16, 144)]);
-        assert!(ok.ok(DEFAULT_THRESHOLD_PCT), "{}", ok.render(5.0));
-
-        // One hijack fewer would pass any sane percentage gate — here
-        // it is an error outright.
-        let weakened = check_ripe_verdicts(&b, &[("CPI".into(), 0, 160), ("PAC".into(), 15, 144)]);
-        assert!(!weakened.ok(DEFAULT_THRESHOLD_PCT));
-        assert!(weakened.errors[0].contains("hijacked changed 16 -> 15"));
-
-        // A mechanism dropping out of the fresh lineup is an error.
-        let missing = check_ripe_verdicts(&b, &[("CPI".into(), 0, 160)]);
-        assert!(!missing.ok(DEFAULT_THRESHOLD_PCT));
-
-        let empty = check_ripe_verdicts(&Json::parse(r#"{"verdicts": []}"#).unwrap(), &[]);
-        assert!(!empty.ok(DEFAULT_THRESHOLD_PCT));
-    }
-
-    #[test]
-    fn memory_overhead_comparison_reads_per_entry_bytes() {
-        let b = Json::parse(
-            r#"{"orgs": [
-                {"org": "array-4K", "compact_bytes_per_entry": 16.0},
-                {"org": "hashtable", "compact_bytes_per_entry": 40.0}
-            ]}"#,
-        )
-        .unwrap();
-        let ok =
-            check_memory_overhead(&b, &[("array-4K".into(), 16.0), ("hashtable".into(), 40.0)]);
-        assert!(ok.ok(DEFAULT_THRESHOLD_PCT), "{}", ok.render(5.0));
-        let bad =
-            check_memory_overhead(&b, &[("array-4K".into(), 18.0), ("hashtable".into(), 40.0)]);
-        assert!(!bad.ok(DEFAULT_THRESHOLD_PCT));
+        let rows = recorded("defense_matrix.json");
+        for mechanism in ["safestack", "CPS", "CPI", "PAC", "PACTight"] {
+            let key = format!("mechanism={mechanism}");
+            assert_eq!(diff(&rows, &moved(&rows, &key, "detected", 1)).len(), 1);
+        }
+        let fresh = moved(&rows, "mechanism=PAC", "hijacked", -1);
+        assert_eq!(
+            diff(&rows, &fresh),
+            ["[mechanism=PAC] hijacked: recorded 12, fresh 11"]
+        );
     }
 }

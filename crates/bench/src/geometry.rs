@@ -1,10 +1,9 @@
 //! Safe-pointer-store geometry measurements shared by the
-//! `memory_overhead` experiment and the `bench_drift` gate.
+//! `memory_overhead` experiment and its baseline collector.
 //!
 //! Both need the same deterministic number — simulated safe-region
-//! bytes per live entry on a dense population — so the drift checker
-//! re-measures exactly what the recorded baseline in
-//! `crates/bench/baselines/memory_overhead.json` holds.
+//! bytes of a dense population — so the baseline gate re-measures
+//! exactly what `memory_overhead` reports per entry.
 
 use levee_rt::{MetaId, Slot};
 use levee_vm::StoreKind;
@@ -20,8 +19,8 @@ pub const DENSE_ENTRIES: u64 = 1 << 19;
 pub const SEED_SLOT: u64 = 32;
 const SEED_HASH_BUCKET: u64 = 8 + SEED_SLOT;
 
-/// Measured bytes per live entry after populating `n` contiguous slots.
-pub fn dense_bytes_per_entry(kind: StoreKind, n: u64) -> f64 {
+/// Simulated safe-region bytes after populating `n` contiguous slots.
+pub fn dense_bytes(kind: StoreKind, n: u64) -> u64 {
     let mut store = kind.instantiate(0x7000_0000_0000);
     for i in 0..n {
         // Handle liveness is irrelevant to geometry; NONE keeps the
@@ -29,7 +28,12 @@ pub fn dense_bytes_per_entry(kind: StoreKind, n: u64) -> f64 {
         let _ = store.set(i * 8, Slot::new(i, MetaId::NONE));
     }
     assert_eq!(store.entry_count() as u64, n);
-    store.memory_bytes() as f64 / n as f64
+    store.memory_bytes()
+}
+
+/// Measured bytes per live entry after populating `n` contiguous slots.
+pub fn dense_bytes_per_entry(kind: StoreKind, n: u64) -> f64 {
+    dense_bytes(kind, n) as f64 / n as f64
 }
 
 /// What the same dense population cost under the seed geometry,

@@ -4,7 +4,7 @@
 //! hand-renders its JSON (`levee_core::session::RunReport::to_json`,
 //! the bench binaries' `--json` modes). This module is the matching
 //! consumer — enough of RFC 8259 to load the recorded baselines in
-//! `crates/bench/baselines/` for the drift checker and to round-trip
+//! `crates/bench/baselines/` for the baseline gate and to round-trip
 //! the reports the binaries emit in tests. It is a reader for JSON *we*
 //! wrote; it accepts all valid JSON but reports errors by byte offset
 //! without any recovery.
@@ -397,15 +397,10 @@ mod tests {
 
     #[test]
     fn loads_the_recorded_baselines() {
-        for name in [
-            "engine_compare.json",
-            "memory_overhead.json",
-            "webserver_throughput.json",
-        ] {
-            let path = format!("{}/baselines/{name}", env!("CARGO_MANIFEST_DIR"));
+        for (name, _) in crate::drift::BASELINES {
+            let path = crate::drift::baseline_dir().join(name);
             let text = std::fs::read_to_string(&path).expect("baseline exists");
-            let j = Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert!(matches!(j, Json::Obj(_)), "{name}: top level is an object");
+            crate::drift::decode(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         }
     }
 }

@@ -1,10 +1,10 @@
 //! The shared kernel lineup of the engine-comparison experiments.
 //!
 //! One place owns the (kernel, entry, iteration-count) table so the
-//! `engine_compare` binary, the `profile_attribution` recorder and the
-//! `bench_drift` checker all measure *the same* workloads: the drift
-//! checker re-runs exactly the kernels whose counters the recorded
-//! baseline in `crates/bench/baselines/engine_compare.json` holds.
+//! `engine_compare` binary and the baseline collectors measure *the
+//! same* workloads: the gate re-runs exactly the kernels whose counters
+//! `crates/bench/baselines/engine_compare.json` and
+//! `profile_attribution.json` record.
 
 use levee_workloads::kernels;
 
@@ -28,8 +28,8 @@ impl KernelSpec {
     }
 }
 
-/// The kernels on which fusion must show a measurable wall-clock win
-/// (tight loops of fusible pairs).
+/// The kernels whose fused-over-unfused wall-clock ratio
+/// `engine_compare` prints (tight loops of fusible pairs).
 pub const FUSION_KERNELS: &[&str] = &["dispatch", "numeric", "vcall"];
 
 /// The engine-comparison lineup, in baseline row order.

@@ -1,8 +1,7 @@
 //! # levee-bench — the evaluation harness
 //!
 //! One binary per table/figure of the paper (the README's "Benchmarks"
-//! section shows how to run them; recorded results live in
-//! `crates/bench/baselines/`):
+//! section shows how to run them):
 //!
 //! | binary | artifact |
 //! |---|---|
@@ -19,10 +18,17 @@
 //! | `mpx_ablation` | §4 MPX discussion |
 //!
 //! plus the criterion bench `store_organizations` (§4's array /
-//! two-level / hashtable comparison), the `bench_drift` baseline gate
-//! and the `profile_attribution` recorder (see [`drift`] and
-//! [`profile`]).
+//! two-level / hashtable comparison).
+//!
+//! The deterministic counters of these experiments (simulated cycles
+//! and instructions, RIPE verdicts, PAC sign/auth counts, store bytes,
+//! reset costs, profiler attribution) are recorded as exact rows in
+//! `crates/bench/baselines/`, re-measured by one collector per file
+//! and diffed exactly by [`drift`]: the `baselines` integration test
+//! runs that gate in Tier-1, and `bench_drift --record` rewrites the
+//! files.
 
+mod collect;
 pub mod drift;
 pub mod geometry;
 pub mod json;

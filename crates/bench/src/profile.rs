@@ -10,10 +10,53 @@
 //! exactly to `ExecStats::cycles` — so a bin printing a profile can
 //! never print one that doesn't add up.
 
-use levee_core::{BuildConfig, Session};
-use levee_vm::{ProfileReport, StoreKind};
+use levee_core::{BuildConfig, RunReport, Session};
+use levee_vm::{FuseStats, ProfileReport, StoreKind};
 
 use crate::Table;
+
+/// The superinstruction patterns: (the profiler's op name, pairs the
+/// fusion planner fused).
+pub(crate) fn fused_pairs(stats: &FuseStats) -> [(&'static str, u64); 7] {
+    [
+        ("CmpBr", stats.cmp_br),
+        ("GepLoad", stats.gep_load),
+        ("GepStore", stats.gep_store),
+        ("CheckLoad", stats.check_load),
+        ("CheckPtrLoad", stats.check_ptr_load),
+        ("CheckedCall", stats.checked_call),
+        ("AuthCall", stats.auth_call),
+    ]
+}
+
+/// The profile of `run`, a profiled run of a fused program whose
+/// planner reported `fuse`, after asserting the profiler's two
+/// invariants:
+///
+/// * per-opcode cycles sum *exactly* to the run's cycles (attribution is
+///   a partition, not a sample);
+/// * a superinstruction pattern dispatches iff the planner fused it. On
+///   the lineup kernels every fused pattern sits in the driver loop, so
+///   planned implies executed; a dispatch without a plan would mean the
+///   stream was rewritten behind the planner's back.
+pub fn checked_profile<'r>(label: &str, run: &'r RunReport, fuse: &FuseStats) -> &'r ProfileReport {
+    let report = run.profile.as_ref().expect("profiler on");
+    assert_eq!(
+        report.op_cycle_total(),
+        run.exec.cycles,
+        "{label}: per-op cycles must partition the run"
+    );
+    for (op, planned) in fused_pairs(fuse) {
+        let dispatched = report.op_count(op);
+        assert_eq!(
+            planned > 0,
+            dispatched > 0,
+            "{label}: the fusion planner reports {planned} {op} pairs but \
+             the profiler counted {dispatched} dispatches"
+        );
+    }
+    report
+}
 
 /// Renders `report` as the standard attribution tables, limiting the
 /// function and check-site tables to `top` rows. Panics if the per-op

@@ -120,17 +120,6 @@ impl Layout {
         }
     }
 
-    /// Entry address of function number `idx`.
-    pub fn func_entry(&self, idx: u32) -> u64 {
-        CODE_BASE + idx as u64 * FUNC_STRIDE
-    }
-
-    /// Address of return site number `site` inside function `idx`
-    /// (distinct from the entry, 16-byte spaced).
-    pub fn ret_site(&self, idx: u32, site: u32) -> u64 {
-        self.func_entry(idx) + 16 * (site as u64 + 1)
-    }
-
     /// True if `addr` lies in the code segment.
     pub fn in_code(&self, addr: u64) -> bool {
         (CODE_BASE..self.rodata_base).contains(&addr)
@@ -169,8 +158,8 @@ mod tests {
         let a = Layout::fixed();
         let b = Layout::fixed();
         assert_eq!(a.safe_base, b.safe_base);
-        assert_eq!(a.func_entry(3), CODE_BASE + 3 * FUNC_STRIDE);
-        assert!(a.ret_site(3, 0) > a.func_entry(3));
+        assert_eq!((a.aslr_shift, a.libc_shift), (0, 0));
+        assert!(a.in_code(CODE_BASE));
     }
 
     #[test]
@@ -209,7 +198,8 @@ mod tests {
     #[test]
     fn region_predicates() {
         let l = Layout::fixed();
-        assert!(l.in_code(l.func_entry(0)));
+        assert!(l.in_code(CODE_BASE));
+        assert!(!l.in_code(l.rodata_base));
         assert!(!l.in_code(l.heap_base));
         assert!(l.in_safe_region(l.ptr_store_base()));
         assert!(l.in_safe_region(l.safe_stack_top() - 8));
