@@ -200,20 +200,21 @@ fn counters(config: BuildConfig, field: &str, name: &str, src: &str) -> Row {
 }
 
 /// `webserver_throughput.json`: the per-request counters of every
-/// web-stack page, served as `webserver_throughput` serves it (CPI
-/// build, superpage store) through a 2-worker [`SessionPool`]:
-/// instructions, cycles and the snapshot-reset cost. Every pooled
-/// request must be bit-identical, reset cost included, so a worker
-/// whose forked machine diverged from its sibling fails here.
+/// web-stack page under every store organization, each (CPI build)
+/// served as `webserver_throughput` serves it through a 2-worker
+/// [`SessionPool`]: instructions, cycles and the whole snapshot-reset
+/// cost. Every pooled request must be bit-identical, reset cost
+/// included, so a worker whose forked machine diverged from its sibling
+/// fails here.
 pub fn webserver_throughput() -> Vec<Row> {
-    web_stack()
-        .iter()
-        .map(|w| {
+    let mut rows = Vec::new();
+    for w in web_stack() {
+        for &store in StoreKind::all() {
             let prototype = Session::builder()
                 .source(&w.source(1))
                 .name(w.name)
                 .protection(BuildConfig::Cpi)
-                .store(StoreKind::ArraySuperpage)
+                .store(store)
                 .build()
                 .unwrap_or_else(|e| panic!("{}: page builds: {e}", w.name));
             let reports =
@@ -228,16 +229,23 @@ pub fn webserver_throughput() -> Vec<Row> {
                 assert_eq!(
                     (r.output.as_str(), r.exec, r.reset),
                     (first.output.as_str(), first.exec, first.reset),
-                    "{}: pooled requests must be bit-identical across workers",
-                    w.name
+                    "{} on {}: pooled requests must be bit-identical across workers",
+                    w.name,
+                    store.name()
                 );
             }
-            Row::default()
-                .name("page", w.name)
-                .count("insts", first.exec.insts)
-                .count("cycles", first.exec.cycles)
-                .count("pages_dirtied", first.reset.pages_dirtied)
-                .count("bytes_restored", first.reset.bytes_restored)
-        })
-        .collect()
+            rows.push(
+                Row::default()
+                    .name("page", w.name)
+                    .name("store", store.name())
+                    .count("insts", first.exec.insts)
+                    .count("cycles", first.exec.cycles)
+                    .count("pages_dirtied", first.reset.pages_dirtied)
+                    .count("bytes_restored", first.reset.bytes_restored)
+                    .count("store_bytes_restored", first.reset.store_bytes_restored)
+                    .count("meta_entries_dropped", first.reset.meta_entries_dropped),
+            );
+        }
+    }
+    rows
 }

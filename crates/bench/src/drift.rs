@@ -394,9 +394,16 @@ mod tests {
     fn webserver_reset_cost_gates_dirty_page_growth() {
         let rows = recorded("webserver_throughput.json");
         for page in ["static-page", "wsgi-test-page", "dynamic-page"] {
-            let key = format!("page={page}");
-            for field in ["pages_dirtied", "bytes_restored"] {
-                assert_eq!(diff(&rows, &moved(&rows, &key, field, 1)).len(), 1);
+            for store in ["array-4K", "array-2M", "two-level", "hashtable"] {
+                let key = format!("page={page} store={store}");
+                for field in [
+                    "pages_dirtied",
+                    "bytes_restored",
+                    "store_bytes_restored",
+                    "meta_entries_dropped",
+                ] {
+                    assert_eq!(diff(&rows, &moved(&rows, &key, field, 1)).len(), 1);
+                }
             }
         }
     }
@@ -406,7 +413,7 @@ mod tests {
         let rows = recorded("webserver_throughput.json");
         for field in ["insts", "cycles"] {
             for delta in [-1, 1] {
-                let fresh = moved(&rows, "page=dynamic-page", field, delta);
+                let fresh = moved(&rows, "page=dynamic-page store=array-2M", field, delta);
                 assert_eq!(diff(&rows, &fresh).len(), 1);
             }
         }
