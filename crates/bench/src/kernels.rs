@@ -101,8 +101,3 @@ pub const KERNELS: &[KernelSpec] = &[
         iters: 40_000,
     },
 ];
-
-/// Looks a kernel up by name.
-pub fn kernel(name: &str) -> Option<&'static KernelSpec> {
-    KERNELS.iter().find(|k| k.name == name)
-}

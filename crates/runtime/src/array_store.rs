@@ -12,62 +12,34 @@
 //! (a 4 KB page covers 256 pointer slots instead of 128), which both
 //! halves the simulated footprint of a dense working set and halves the
 //! page-fault/TLB pressure the 4 KB configuration suffers from.
+//!
+//! Pages live in a [`CowPages`] table; its module doc states the
+//! copy-on-write snapshot invariant. This module adds slot indexing and
+//! the live-slot count.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use crate::pages::CowPages;
+use crate::store::{PtrStore, Slot, Touched, SLOT_SIZE};
 
-use crate::fasthash::FastHash;
-use crate::store::{aligned_slots, PtrStore, Slot, Touched, SLOT_SIZE};
-
-/// One materialized metadata page, shared copy-on-write with the
-/// captured baseline: `Arc::strong_count > 1` means the page is
-/// clean-shared with the snapshot, and the first write after a capture
-/// splits it (recording the page index in the dirty list).
-type PageArc = Arc<Vec<Option<Slot>>>;
-
-/// The post-`load()` baseline: every then-resident page (both tiers,
-/// keyed by page index) plus the accounting scalars.
-#[derive(Clone)]
-struct Baseline {
-    pages: HashMap<u64, PageArc, FastHash>,
-    resident: usize,
-    live: usize,
-}
-
-/// Address span covered by the direct-indexed low tier: the whole low
-/// 4 GB regular region (code, globals, heap, stacks — see the VM's
-/// layout). Keys in this span are looked up through a direct-indexed
-/// table instead of the hash map: safe-store operations run on every
-/// instrumented memory access, so the lookup is hot.
-const LOW_SPAN: u64 = 1 << 32;
+/// Keys below this bound — the whole regular region, up to the stack
+/// top and its slack page — index their pages through the table's
+/// direct tier: safe-store operations run on every instrumented memory
+/// access, so the lookup is hot.
+const DIRECT_KEYS: u64 = 1 << 31;
 
 /// Sparse linear array of slots, with configurable page size.
 ///
-/// Cloning (for [`PtrStore::boxed_clone`]) shares both live and
-/// baseline pages `Arc`-CoW with the original; each clone keeps its own
-/// dirty list, so divergence tracking stays per machine.
+/// Cloning (for [`PtrStore::boxed_clone`]) shares pages and the
+/// baseline copy-on-write with the original; each clone keeps its own
+/// dirty list.
 #[derive(Clone)]
 pub struct ArrayStore {
     base: u64,
     page_size: u64,
     slots_per_page: u64,
-    /// Page indices below this bound (`LOW_SPAN` divided by the address
-    /// span one metadata page covers) use the direct tier.
-    low_pages: u64,
-    /// Direct-indexed storage for the low tier (grown on demand).
-    low: Vec<Option<PageArc>>,
-    /// Hash-mapped storage for the sparse high remainder.
-    pages: HashMap<u64, PageArc, FastHash>,
-    /// Resident page count across both tiers (memory accounting).
-    resident: usize,
+    pages: CowPages<Vec<Option<Slot>>>,
     live: usize,
-    /// The captured post-load image ([`PtrStore::capture_snapshot`]).
-    baseline: Option<Baseline>,
-    /// Page indices diverged from the baseline since the last capture
-    /// or restore. Maintained only while a baseline exists; no page
-    /// index repeats (a page is pushed exactly when it stops being
-    /// clean-shared: on materialization or on its first CoW split).
-    dirty: Vec<u64>,
+    /// `live` at the last [`PtrStore::capture_snapshot`].
+    captured_live: usize,
 }
 
 impl ArrayStore {
@@ -78,24 +50,15 @@ impl ArrayStore {
         let slots_per_page = page_size / SLOT_SIZE;
         // One metadata page covers slots_per_page 8-byte slots of the
         // regular address space.
-        let low_pages = LOW_SPAN / (slots_per_page * 8);
+        let direct_pages = DIRECT_KEYS / (slots_per_page * 8);
         ArrayStore {
             base,
             page_size,
             slots_per_page,
-            low_pages,
-            low: Vec::new(),
-            pages: HashMap::default(),
-            resident: 0,
+            pages: CowPages::new(direct_pages as usize),
             live: 0,
-            baseline: None,
-            dirty: Vec::new(),
+            captured_live: 0,
         }
-    }
-
-    /// The configured page size in bytes.
-    pub fn page_size(&self) -> u64 {
-        self.page_size
     }
 
     fn slot_of(addr: u64) -> u64 {
@@ -107,64 +70,12 @@ impl ArrayStore {
         self.base + Self::slot_of(addr) * SLOT_SIZE
     }
 
-    #[inline]
-    fn page(&self, page_idx: u64) -> Option<&Vec<Option<Slot>>> {
-        if page_idx < self.low_pages {
-            self.low.get(page_idx as usize)?.as_deref()
-        } else {
-            self.pages.get(&page_idx).map(|p| &**p)
-        }
-    }
-
-    /// Returns the page for `page_idx` write-ready, materializing it if
-    /// needed; `true` when this touch faulted it in. The write path of
-    /// the dirty tracking: a page still clean-shared with the baseline
-    /// (`Arc::strong_count > 1`) is recorded dirty and split before the
-    /// caller mutates it; a freshly materialized page is dirty by
-    /// definition.
-    fn ensure(&mut self, page_idx: u64) -> (&mut Vec<Option<Slot>>, bool) {
-        let spp = self.slots_per_page as usize;
-        let mut fault = false;
-        let tracking = self.baseline.is_some();
-        let page: &mut PageArc = if page_idx < self.low_pages {
-            let i = page_idx as usize;
-            if self.low.len() <= i {
-                self.low.resize_with(i + 1, || None);
-            }
-            let slot = &mut self.low[i];
-            if slot.is_none() {
-                *slot = Some(Arc::new(vec![None; spp]));
-                fault = true;
-                self.resident += 1;
-                if tracking {
-                    self.dirty.push(page_idx);
-                }
-            }
-            slot.as_mut().expect("just ensured")
-        } else {
-            let resident = &mut self.resident;
-            let dirty = &mut self.dirty;
-            self.pages.entry(page_idx).or_insert_with(|| {
-                fault = true;
-                *resident += 1;
-                if tracking {
-                    dirty.push(page_idx);
-                }
-                Arc::new(vec![None; spp])
-            })
-        };
-        if tracking && !fault && Arc::strong_count(page) > 1 {
-            self.dirty.push(page_idx);
-        }
-        (Arc::make_mut(page), fault)
-    }
-
     fn slot_ref(&self, addr: u64, touched: &mut Touched) -> Option<Slot> {
         touched.push(self.slot_addr(addr));
         let slot = Self::slot_of(addr);
         let page_idx = slot / self.slots_per_page;
         let in_page = (slot % self.slots_per_page) as usize;
-        self.page(page_idx).and_then(|p| p[in_page])
+        self.pages.get(page_idx).and_then(|p| p[in_page])
     }
 
     fn set_slot(&mut self, addr: u64, value: Option<Slot>, t: &mut Touched) {
@@ -172,11 +83,12 @@ impl ArrayStore {
         let slot = Self::slot_of(addr);
         let page_idx = slot / self.slots_per_page;
         let in_page = (slot % self.slots_per_page) as usize;
-        if value.is_none() && self.page(page_idx).is_none() {
+        if value.is_none() && self.pages.get(page_idx).is_none() {
             // Never fault a page in just to record an absence.
             return;
         }
-        let (page, fault) = self.ensure(page_idx);
+        let spp = self.slots_per_page as usize;
+        let (page, fault) = self.pages.get_or_insert_with(page_idx, || vec![None; spp]);
         let delta = match (&page[in_page], &value) {
             (None, Some(_)) => 1,
             (Some(_), None) => -1,
@@ -211,103 +123,27 @@ impl PtrStore for ArrayStore {
         t
     }
 
-    fn clear_range(&mut self, start: u64, len: u64) -> Touched {
-        let mut t = Touched::default();
-        for a in aligned_slots(start, len) {
-            let sub = self.clear(a);
-            t.absorb(&sub);
-        }
-        t
-    }
-
-    fn copy_range(&mut self, dst: u64, src: u64, len: u64) -> (u64, Touched) {
-        let mut t = Touched::default();
-        let mut copied = 0;
-        // Gather first so overlapping ranges behave like memmove. Each
-        // element is a plain 16-byte (word, handle) move.
-        let slots: Vec<(u64, Option<Slot>)> = aligned_slots(src, len)
-            .map(|a| {
-                let mut sub = Touched::default();
-                let s = self.slot_ref(a, &mut sub);
-                t.absorb(&sub);
-                (a - (src & !7), s)
-            })
-            .collect();
-        for (off, s) in slots {
-            let target = (dst & !7) + off;
-            if s.is_some() {
-                copied += 1;
-            }
-            let mut sub = Touched::default();
-            self.set_slot(target, s, &mut sub);
-            t.absorb(&sub);
-        }
-        (copied, t)
-    }
-
     fn entry_count(&self) -> usize {
         self.live
     }
 
     fn memory_bytes(&self) -> u64 {
-        self.resident as u64 * self.page_size
+        self.pages.resident() as u64 * self.page_size
     }
 
     fn base(&self) -> u64 {
         self.base
     }
 
-    fn reset(&mut self) {
-        self.low.clear();
-        self.pages.clear();
-        self.resident = 0;
-        self.live = 0;
-        self.baseline = None;
-        self.dirty.clear();
-    }
-
     fn capture_snapshot(&mut self) {
-        let mut pages: HashMap<u64, PageArc, FastHash> = HashMap::default();
-        for (i, page) in self.low.iter().enumerate() {
-            if let Some(p) = page {
-                pages.insert(i as u64, Arc::clone(p));
-            }
-        }
-        for (&i, p) in &self.pages {
-            pages.insert(i, Arc::clone(p));
-        }
-        self.baseline = Some(Baseline {
-            pages,
-            resident: self.resident,
-            live: self.live,
-        });
-        self.dirty.clear();
+        self.pages.capture();
+        self.captured_live = self.live;
     }
 
     fn restore_snapshot(&mut self) -> u64 {
-        let baseline = self.baseline.as_ref().expect("no baseline captured");
-        let mut reverted = 0u64;
-        for idx in std::mem::take(&mut self.dirty) {
-            let restored = baseline.pages.get(&idx).cloned();
-            if restored.is_some() {
-                reverted += 1;
-            }
-            if idx < self.low_pages {
-                self.low[idx as usize] = restored;
-            } else {
-                match restored {
-                    Some(p) => {
-                        self.pages.insert(idx, p);
-                    }
-                    None => {
-                        self.pages.remove(&idx);
-                    }
-                }
-            }
-        }
-        self.resident = baseline.resident;
-        self.live = baseline.live;
-        reverted * self.page_size
+        let (_, reshared) = self.pages.restore();
+        self.live = self.captured_live;
+        reshared * self.page_size
     }
 }
 
@@ -432,16 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything() {
-        let mut s = ArrayStore::new(BASE, 4096);
-        let _ = s.set(0x1000, meta(1));
-        s.reset();
-        assert_eq!(s.entry_count(), 0);
-        assert_eq!(s.memory_bytes(), 0);
-        assert_eq!(s.get(0x1000).0, None);
-    }
-
-    #[test]
     fn snapshot_restore_reverts_only_dirtied_pages() {
         let mut s = ArrayStore::new(BASE, 4096);
         let _ = s.set(0x1000, meta(1)); // "loader" slot
@@ -484,12 +310,5 @@ mod tests {
             assert_eq!(s.entry_count(), 1);
             assert_eq!(s.memory_bytes(), baseline_bytes);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "no baseline captured")]
-    fn restore_without_capture_is_a_lifecycle_bug() {
-        let mut s = ArrayStore::new(BASE, 4096);
-        let _ = s.restore_snapshot();
     }
 }

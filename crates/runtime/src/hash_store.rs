@@ -6,7 +6,7 @@
 //! behaviour: the hash scatters adjacent pointer slots across the table,
 //! destroying the spatial locality the array organization preserves.
 
-use crate::store::{aligned_slots, PtrStore, Slot, Touched};
+use crate::store::{PtrStore, Slot, Touched};
 
 /// Simulated bytes per bucket: 8-byte key tag + 8-byte pointer word +
 /// 4-byte provenance handle, tightly packed. Unlike the array
@@ -24,19 +24,6 @@ struct Bucket {
     slot: Slot,
 }
 
-/// The post-`load()` baseline image: the whole table (it is tiny at
-/// load time — the loader's protected initializer slots in the initial
-/// 64-bucket geometry) plus the geometry scalars. Restoring the
-/// capacity and mask keeps probe addresses bit-identical to a fresh
-/// load.
-#[derive(Clone)]
-struct Baseline {
-    buckets: Vec<Option<Bucket>>,
-    mask: u64,
-    live: usize,
-    max_capacity: usize,
-}
-
 /// Open-addressing hash table keyed by pointer slot address.
 ///
 /// Cloning (for [`PtrStore::boxed_clone`]) deep-copies the table —
@@ -50,11 +37,15 @@ pub struct HashStore {
     live: usize,
     /// High-water mark of resident buckets, for memory accounting.
     max_capacity: usize,
-    /// The captured post-load image ([`PtrStore::capture_snapshot`]).
-    /// Unlike the page/leaf organizations there is no useful sub-
-    /// structure to track dirt at — growth rehashes every bucket — so
-    /// the dirty granularity is the whole (tiny) baseline table.
-    baseline: Option<Box<Baseline>>,
+    /// The captured post-load image ([`PtrStore::capture_snapshot`]): a
+    /// clone of the whole store (it is tiny at load time — the loader's
+    /// protected initializer slots in the initial 64-bucket geometry).
+    /// Restoring its capacity and mask keeps probe addresses
+    /// bit-identical to a fresh load. Unlike the page/leaf
+    /// organizations there is no useful substructure to track dirt at —
+    /// growth rehashes every bucket — so the dirty granularity is the
+    /// whole table.
+    baseline: Option<Box<HashStore>>,
     /// Whether any mutation diverged the table from the baseline.
     dirty: bool,
 }
@@ -202,44 +193,6 @@ impl PtrStore for HashStore {
         t
     }
 
-    fn clear_range(&mut self, start: u64, len: u64) -> Touched {
-        let mut t = Touched::default();
-        for a in aligned_slots(start, len) {
-            let sub = self.clear(a);
-            t.absorb(&sub);
-        }
-        t
-    }
-
-    fn copy_range(&mut self, dst: u64, src: u64, len: u64) -> (u64, Touched) {
-        let mut t = Touched::default();
-        let mut copied = 0;
-        // Gather first so overlapping ranges behave like memmove. Each
-        // element is a plain (word, handle) move.
-        let slots: Vec<(u64, Option<Slot>)> = aligned_slots(src, len)
-            .map(|a| {
-                let (s, sub) = self.get(a);
-                t.absorb(&sub);
-                (a - (src & !7), s)
-            })
-            .collect();
-        for (off, s) in slots {
-            let target = (dst & !7) + off;
-            match s {
-                Some(slot) => {
-                    let sub = self.set(target, slot);
-                    t.absorb(&sub);
-                    copied += 1;
-                }
-                None => {
-                    let sub = self.clear(target);
-                    t.absorb(&sub);
-                }
-            }
-        }
-        (copied, t)
-    }
-
     fn entry_count(&self) -> usize {
         self.live
     }
@@ -252,37 +205,24 @@ impl PtrStore for HashStore {
         self.base
     }
 
-    fn reset(&mut self) {
-        // Back to the pristine geometry, not just empty buckets: a
-        // reset store must behave bit-identically to a fresh one
-        // (probe addresses depend on capacity via the mask, and the
-        // memory high-water mark restarts).
-        *self = HashStore::new(self.base);
-    }
-
     fn capture_snapshot(&mut self) {
-        self.baseline = Some(Box::new(Baseline {
-            buckets: self.buckets.clone(),
-            mask: self.mask,
-            live: self.live,
-            max_capacity: self.max_capacity,
-        }));
+        self.baseline = None;
         self.dirty = false;
+        self.baseline = Some(Box::new(self.clone()));
     }
 
     fn restore_snapshot(&mut self) -> u64 {
-        let baseline = self.baseline.as_ref().expect("no baseline captured");
-        if !self.dirty {
-            return 0;
-        }
-        self.buckets = baseline.buckets.clone();
-        self.mask = baseline.mask;
-        self.live = baseline.live;
-        // Restoring the high-water mark too: a restored store must
-        // report the same memory_bytes as a freshly loaded one.
-        self.max_capacity = baseline.max_capacity;
-        self.dirty = false;
-        baseline.max_capacity as u64 * BUCKET_BYTES
+        let baseline = self.baseline.take().expect("no baseline captured");
+        let restored = if self.dirty {
+            // The high-water mark comes back too: a restored store must
+            // report the same memory_bytes as a freshly loaded one.
+            *self = (*baseline).clone();
+            self.memory_bytes()
+        } else {
+            0
+        };
+        self.baseline = Some(baseline);
+        restored
     }
 }
 
@@ -366,34 +306,9 @@ mod tests {
         assert_eq!(40 / BUCKET_BYTES, 2);
     }
 
-    /// Reset restores the pristine geometry: capacity, probe mask and
-    /// the memory high-water mark — a reset store must be
-    /// indistinguishable from a fresh one (probe addresses depend on
-    /// the mask, so retained growth would change the touch trace of a
-    /// replayed run).
-    #[test]
-    fn reset_restores_pristine_geometry() {
-        let mut s = HashStore::new(BASE);
-        for i in 0..4096u64 {
-            let _ = s.set(i * 8, slot(i));
-        }
-        assert!(s.memory_bytes() > 64 * BUCKET_BYTES); // grew
-        s.reset();
-        assert_eq!(s.entry_count(), 0);
-        assert_eq!(s.memory_bytes(), 64 * BUCKET_BYTES);
-        // Probe addresses match a fresh store's.
-        let mut fresh = HashStore::new(BASE);
-        let (_, t_reset) = s.get(0x1000);
-        let (_, t_fresh) = fresh.get(0x1000);
-        assert_eq!(
-            t_reset.iter().collect::<Vec<_>>(),
-            t_fresh.iter().collect::<Vec<_>>()
-        );
-    }
-
-    /// Snapshot restore must recover pristine geometry exactly like
-    /// reset does — including the capacity/mask a run's growth changed,
-    /// since probe addresses (the simulated touch trace) depend on it.
+    /// Snapshot restore must recover the pristine geometry — including
+    /// the capacity/mask a run's growth changed, since probe addresses
+    /// (the simulated touch trace) depend on it.
     #[test]
     fn snapshot_restore_recovers_geometry_and_contents() {
         let mut s = HashStore::new(BASE);

@@ -51,6 +51,7 @@ pub mod entry;
 pub mod fasthash;
 pub mod hash_store;
 pub mod meta;
+pub mod pages;
 pub mod store;
 pub mod twolevel;
 
@@ -59,5 +60,6 @@ pub use entry::Entry;
 pub use fasthash::{FastHash, FastHasher};
 pub use hash_store::HashStore;
 pub use meta::{MetaId, MetaMark, MetaTable, META_CAPACITY};
+pub use pages::CowPages;
 pub use store::{PtrStore, Slot, StoreKind, Touched, SLOT_SIZE};
 pub use twolevel::TwoLevelStore;

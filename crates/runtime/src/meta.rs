@@ -19,9 +19,9 @@
 //! Handles do not only ride in registers: every safe-pointer-store
 //! organization ([`crate::store::PtrStore`]) holds them inside its
 //! compact [`crate::store::Slot`]s, so the table and the store form one
-//! lifecycle unit. An owner resetting both must clear the store *before*
-//! bumping the table generation (see [`crate::store::PtrStore::reset`]),
-//! or its slots would dangle.
+//! lifecycle unit. The VM's loader reset bumps the table generation and
+//! boots a fresh store, so no slot outlives its generation; its snapshot
+//! reset rewinds both to the post-load image.
 
 use std::collections::HashMap;
 

@@ -13,11 +13,7 @@
 //! 4-byte [`MetaId`] handle into the [`crate::meta::MetaTable`] that owns
 //! the based-on record. This halves simulated safe-region memory
 //! ([`SLOT_SIZE`] = 16 vs the 32 bytes of the inline-entry layout) and
-//! makes `copy_range` a plain handle move. The table and the store share
-//! a lifecycle: handles stored here are generation-checked, so resetting
-//! the table without clearing the store first would leave dangling slots
-//! — owners (the VM's `Machine`) must always reset the store *before*
-//! the table.
+//! makes `copy_range` a plain handle move.
 
 use crate::meta::MetaId;
 
@@ -130,11 +126,6 @@ impl Touched {
         self.page_fault |= sub.page_fault;
     }
 
-    /// Total number of touches represented, including spilled ones.
-    pub fn total(&self) -> u64 {
-        self.n as u64 + self.spill as u64
-    }
-
     /// The touched addresses.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.addrs[..self.n as usize].iter().copied()
@@ -143,11 +134,6 @@ impl Touched {
     /// Number of touched addresses.
     pub fn len(&self) -> usize {
         self.n as usize
-    }
-
-    /// The first touched address, if any.
-    pub fn first(&self) -> Option<u64> {
-        (self.n > 0).then(|| self.addrs[0])
     }
 
     /// True when no address was touched.
@@ -221,11 +207,8 @@ impl StoreKind {
 /// Stores are plain owned data with no interior mutability or shared
 /// handles: the `Send` supertrait lets a whole `Machine` migrate to a
 /// worker thread, and [`PtrStore::boxed_clone`] forks the store for a
-/// new machine. Cloned stores share baseline pages copy-on-write
-/// (`Arc`-backed), but each clone's dirty tracking is private — the
-/// clean-page invariant (`Arc::strong_count > 1` ⟺ shared with *a*
-/// baseline) holds per machine regardless of how many machines share
-/// the pages.
+/// new machine. Cloned stores share baseline pages copy-on-write, but
+/// each clone's dirty tracking is private (see [`crate::pages`]).
 pub trait PtrStore: Send {
     /// Forks this store for a new machine: identical contents and
     /// geometry, baseline pages shared copy-on-write with the original.
@@ -248,7 +231,13 @@ pub trait PtrStore: Send {
     /// plain memory writes (memset, frees, unsafe-stack reuse) overwrite
     /// regions that used to hold sensitive pointers.
     #[must_use = "dropping a Touched loses safe-store cache traffic; charge it or bind `let _ =`"]
-    fn clear_range(&mut self, start: u64, len: u64) -> Touched;
+    fn clear_range(&mut self, start: u64, len: u64) -> Touched {
+        let mut t = Touched::default();
+        for a in aligned_slots(start, len) {
+            t.absorb(&self.clear(a));
+        }
+        t
+    }
 
     /// Copies slots for each pointer-aligned slot address from `src` to
     /// `dst` (the type-aware `cpi_memcpy` of §3.2.2) — with compact
@@ -256,7 +245,30 @@ pub trait PtrStore: Send {
     /// materialization. Destination slots whose source has no slot are
     /// cleared. Returns the number of slots copied.
     #[must_use = "dropping a Touched loses safe-store cache traffic; charge it or bind `let _ =`"]
-    fn copy_range(&mut self, dst: u64, src: u64, len: u64) -> (u64, Touched);
+    fn copy_range(&mut self, dst: u64, src: u64, len: u64) -> (u64, Touched) {
+        let mut t = Touched::default();
+        // Gather first so overlapping ranges behave like memmove.
+        let slots: Vec<(u64, Option<Slot>)> = aligned_slots(src, len)
+            .map(|a| {
+                let (s, sub) = self.get(a);
+                t.absorb(&sub);
+                (a - (src & !7), s)
+            })
+            .collect();
+        let mut copied = 0;
+        for (off, s) in slots {
+            let target = (dst & !7) + off;
+            let sub = match s {
+                Some(slot) => {
+                    copied += 1;
+                    self.set(target, slot)
+                }
+                None => self.clear(target),
+            };
+            t.absorb(&sub);
+        }
+        (copied, t)
+    }
 
     /// Number of live slots.
     fn entry_count(&self) -> usize;
@@ -267,15 +279,6 @@ pub trait PtrStore: Send {
 
     /// The store's base address in the simulated safe region.
     fn base(&self) -> u64;
-
-    /// Removes every slot (used when resetting between runs).
-    ///
-    /// Owners that also reset the [`crate::meta::MetaTable`] must clear
-    /// the store *first*: slots hold generation-checked [`MetaId`]s, and
-    /// bumping the table generation while slots are still live would
-    /// leave them dangling. Also discards any baseline captured by
-    /// [`PtrStore::capture_snapshot`].
-    fn reset(&mut self);
 
     /// Captures the store's current contents as its immutable baseline:
     /// the per-structure half of the VM's post-`load()` memory-image
@@ -303,7 +306,7 @@ pub trait PtrStore: Send {
 
 /// Shared helper: iterate the 8-aligned slots that overlap
 /// `[start, start+len)`.
-pub(crate) fn aligned_slots(start: u64, len: u64) -> impl Iterator<Item = u64> {
+fn aligned_slots(start: u64, len: u64) -> impl Iterator<Item = u64> {
     let first = start & !7;
     let end = start.saturating_add(len);
     (0..)
@@ -323,7 +326,6 @@ mod tests {
         }
         assert_eq!(t.len(), 4);
         assert_eq!(t.iter().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
-        assert_eq!(t.first(), Some(0));
         assert!(!t.is_empty());
     }
 

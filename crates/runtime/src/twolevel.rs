@@ -5,12 +5,16 @@
 //! table indexed by the low bits. Every operation costs two dependent
 //! memory accesses — one directory probe, one leaf probe — which is why
 //! the paper found it slower than the superpage-backed array.
+//!
+//! Leaves live in a [`CowPages`] table (hashed only: directory indices
+//! are sparse); its module doc states the copy-on-write snapshot
+//! invariant. This module adds the directory pages and the leaf
+//! sequence numbers that place leaves in the simulated safe region.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashSet;
 
-use crate::fasthash::FastHash;
-use crate::store::{aligned_slots, PtrStore, Slot, Touched, SLOT_SIZE};
+use crate::pages::CowPages;
+use crate::store::{PtrStore, Slot, Touched, SLOT_SIZE};
 
 /// Number of entries per leaf table.
 const LEAF_SLOTS: u64 = 512;
@@ -22,40 +26,27 @@ const LEAF_BYTES: u64 = LEAF_SLOTS * SLOT_SIZE;
 /// resident directory page.
 const DIR_PAGE_BYTES: u64 = 4096;
 
-/// One leaf table, shared copy-on-write with the captured baseline
-/// (`Arc::strong_count > 1` ⟺ clean-shared; the first mutation after
-/// a capture splits it and records the directory index dirty).
-type LeafArc = Arc<Vec<Option<Slot>>>;
-
-/// The post-`load()` baseline image: leaves (with their sequence
-/// numbers — restoring them keeps simulated leaf addresses
-/// bit-identical to a fresh load), directory pages and the scalars.
-#[derive(Clone)]
-struct Baseline {
-    leaves: HashMap<u64, (u64, LeafArc), FastHash>,
-    dir_pages: HashSet<u64>,
-    next_leaf_seq: u64,
-    live: usize,
-}
+/// One leaf: its sequence number (which fixes its simulated address)
+/// and its slots.
+type Leaf = (u64, Vec<Option<Slot>>);
 
 /// Two-level directory + leaf-table store.
 ///
-/// Cloning (for [`PtrStore::boxed_clone`]) shares leaves `Arc`-CoW with
-/// the original; sequence numbers and dirty tracking stay per clone, so
-/// simulated leaf addresses remain deterministic per machine.
+/// Cloning (for [`PtrStore::boxed_clone`]) shares leaves copy-on-write
+/// with the original; sequence numbers and dirty tracking stay per
+/// clone, so simulated leaf addresses remain deterministic per machine.
 #[derive(Clone)]
 pub struct TwoLevelStore {
     base: u64,
-    /// Directory index → (leaf sequence number, leaf storage).
-    leaves: HashMap<u64, (u64, LeafArc), FastHash>,
+    /// Directory index → leaf.
+    leaves: CowPages<Leaf>,
     next_leaf_seq: u64,
     live: usize,
     /// Resident directory pages (for memory accounting).
     dir_pages: HashSet<u64>,
-    /// The captured post-load image ([`PtrStore::capture_snapshot`]).
-    baseline: Option<Baseline>,
-    /// Directory indices whose leaves diverged from the baseline.
-    dirty: Vec<u64>,
+    /// Directory pages, next sequence number and live count at the
+    /// last [`PtrStore::capture_snapshot`].
+    captured: Option<Box<(HashSet<u64>, u64, usize)>>,
     /// Whether the directory itself grew since the capture — set when a
     /// probe (reads included) materializes a new directory page.
     dir_dirty: bool,
@@ -66,19 +57,18 @@ impl TwoLevelStore {
     pub fn new(base: u64) -> Self {
         TwoLevelStore {
             base,
-            leaves: HashMap::default(),
+            leaves: CowPages::new(0),
             next_leaf_seq: 0,
             live: 0,
             dir_pages: HashSet::new(),
-            baseline: None,
-            dirty: Vec::new(),
+            captured: None,
             dir_dirty: false,
         }
     }
 
-    fn split(addr: u64) -> (u64, u64) {
+    fn split(addr: u64) -> (u64, usize) {
         let slot = addr >> 3;
-        (slot / LEAF_SLOTS, slot % LEAF_SLOTS)
+        (slot / LEAF_SLOTS, (slot % LEAF_SLOTS) as usize)
     }
 
     /// Simulated address of directory slot `dir_idx`.
@@ -87,14 +77,14 @@ impl TwoLevelStore {
     }
 
     /// Simulated address of slot `leaf_idx` in leaf number `seq`.
-    fn leaf_addr(&self, seq: u64, leaf_idx: u64) -> u64 {
+    fn leaf_addr(&self, seq: u64, leaf_idx: usize) -> u64 {
         // Leaves live above a 1 GB directory window.
-        self.base + (1 << 30) + seq * LEAF_BYTES + leaf_idx * SLOT_SIZE
+        self.base + (1 << 30) + seq * LEAF_BYTES + leaf_idx as u64 * SLOT_SIZE
     }
 
     fn touch_dir(&mut self, dir_idx: u64, t: &mut Touched) {
         t.push(self.dir_addr(dir_idx));
-        if self.dir_pages.insert(dir_idx * 8 / DIR_PAGE_BYTES) && self.baseline.is_some() {
+        if self.dir_pages.insert(dir_idx * 8 / DIR_PAGE_BYTES) && self.captured.is_some() {
             // Even reads grow the directory (a probe materializes its
             // page), so the baseline divergence is flagged here, not
             // just on the leaf write paths.
@@ -112,31 +102,18 @@ impl PtrStore for TwoLevelStore {
         let mut t = Touched::default();
         let (dir_idx, leaf_idx) = Self::split(addr);
         self.touch_dir(dir_idx, &mut t);
-        let seq = match self.leaves.get(&dir_idx) {
-            Some((seq, _)) => *seq,
-            None => {
-                let seq = self.next_leaf_seq;
-                self.next_leaf_seq += 1;
-                self.leaves
-                    .insert(dir_idx, (seq, Arc::new(vec![None; LEAF_SLOTS as usize])));
-                if self.baseline.is_some() {
-                    self.dirty.push(dir_idx);
-                }
-                t.page_fault = true;
-                seq
-            }
-        };
-        t.push(self.leaf_addr(seq, leaf_idx));
-        let tracking = self.baseline.is_some();
-        let leaf_arc = &mut self.leaves.get_mut(&dir_idx).expect("leaf just ensured").1;
-        if tracking && Arc::strong_count(leaf_arc) > 1 {
-            self.dirty.push(dir_idx);
-        }
-        let leaf = Arc::make_mut(leaf_arc);
-        if leaf[leaf_idx as usize].is_none() {
+        let next_seq = &mut self.next_leaf_seq;
+        let ((seq, leaf), fault) = self.leaves.get_or_insert_with(dir_idx, || {
+            *next_seq += 1;
+            (*next_seq - 1, vec![None; LEAF_SLOTS as usize])
+        });
+        if leaf[leaf_idx].is_none() {
             self.live += 1;
         }
-        leaf[leaf_idx as usize] = Some(slot);
+        leaf[leaf_idx] = Some(slot);
+        let seq = *seq;
+        t.page_fault = fault;
+        t.push(self.leaf_addr(seq, leaf_idx));
         t
     }
 
@@ -144,10 +121,10 @@ impl PtrStore for TwoLevelStore {
         let mut t = Touched::default();
         let (dir_idx, leaf_idx) = Self::split(addr);
         self.touch_dir(dir_idx, &mut t);
-        match self.leaves.get(&dir_idx) {
+        match self.leaves.get(dir_idx) {
             Some((seq, leaf)) => {
                 t.push(self.leaf_addr(*seq, leaf_idx));
-                (leaf[leaf_idx as usize], t)
+                (leaf[leaf_idx], t)
             }
             None => (None, t),
         }
@@ -157,17 +134,12 @@ impl PtrStore for TwoLevelStore {
         let mut t = Touched::default();
         let (dir_idx, leaf_idx) = Self::split(addr);
         self.touch_dir(dir_idx, &mut t);
-        let tracking = self.baseline.is_some();
-        if let Some((seq, leaf_arc)) = self.leaves.get_mut(&dir_idx) {
-            let seq = *seq;
+        if let Some(&(seq, ref leaf)) = self.leaves.get(dir_idx) {
             // Split the leaf only when there is something to remove: a
             // clear over an empty span (memset, stack reuse) must not
             // un-share clean baseline leaves.
-            if leaf_arc[leaf_idx as usize].is_some() {
-                if tracking && Arc::strong_count(leaf_arc) > 1 {
-                    self.dirty.push(dir_idx);
-                }
-                Arc::make_mut(leaf_arc)[leaf_idx as usize] = None;
+            if leaf[leaf_idx].is_some() {
+                self.leaves.get_mut(dir_idx).expect("resident").1[leaf_idx] = None;
                 self.live -= 1;
             }
             t.push(self.leaf_addr(seq, leaf_idx));
@@ -175,105 +147,41 @@ impl PtrStore for TwoLevelStore {
         t
     }
 
-    fn clear_range(&mut self, start: u64, len: u64) -> Touched {
-        let mut t = Touched::default();
-        for a in aligned_slots(start, len) {
-            let sub = self.clear(a);
-            t.absorb(&sub);
-        }
-        t
-    }
-
-    fn copy_range(&mut self, dst: u64, src: u64, len: u64) -> (u64, Touched) {
-        let mut t = Touched::default();
-        let mut copied = 0;
-        // Gather first so overlapping ranges behave like memmove. Each
-        // element is a plain 16-byte (word, handle) move.
-        let slots: Vec<(u64, Option<Slot>)> = aligned_slots(src, len)
-            .map(|a| {
-                let (s, sub) = self.get(a);
-                t.absorb(&sub);
-                (a - (src & !7), s)
-            })
-            .collect();
-        for (off, s) in slots {
-            let target = (dst & !7) + off;
-            match s {
-                Some(slot) => {
-                    let sub = self.set(target, slot);
-                    t.absorb(&sub);
-                    copied += 1;
-                }
-                None => {
-                    let sub = self.clear(target);
-                    t.absorb(&sub);
-                }
-            }
-        }
-        (copied, t)
-    }
-
     fn entry_count(&self) -> usize {
         self.live
     }
 
     fn memory_bytes(&self) -> u64 {
-        self.dir_pages.len() as u64 * DIR_PAGE_BYTES + self.leaves.len() as u64 * LEAF_BYTES
+        self.dir_pages.len() as u64 * DIR_PAGE_BYTES + self.leaves.resident() as u64 * LEAF_BYTES
     }
 
     fn base(&self) -> u64 {
         self.base
     }
 
-    fn reset(&mut self) {
-        self.leaves.clear();
-        self.dir_pages.clear();
-        self.next_leaf_seq = 0;
-        self.live = 0;
-        self.baseline = None;
-        self.dirty.clear();
-        self.dir_dirty = false;
-    }
-
     fn capture_snapshot(&mut self) {
-        let leaves = self
-            .leaves
-            .iter()
-            .map(|(&d, (seq, leaf))| (d, (*seq, Arc::clone(leaf))))
-            .collect();
-        self.baseline = Some(Baseline {
-            leaves,
-            dir_pages: self.dir_pages.clone(),
-            next_leaf_seq: self.next_leaf_seq,
-            live: self.live,
-        });
-        self.dirty.clear();
+        self.leaves.capture();
+        self.captured = Some(Box::new((
+            self.dir_pages.clone(),
+            self.next_leaf_seq,
+            self.live,
+        )));
         self.dir_dirty = false;
     }
 
     fn restore_snapshot(&mut self) -> u64 {
-        let baseline = self.baseline.as_ref().expect("no baseline captured");
-        let mut bytes = 0u64;
-        for dir_idx in std::mem::take(&mut self.dirty) {
-            match baseline.leaves.get(&dir_idx) {
-                Some((seq, leaf)) => {
-                    self.leaves.insert(dir_idx, (*seq, Arc::clone(leaf)));
-                    bytes += LEAF_BYTES;
-                }
-                None => {
-                    self.leaves.remove(&dir_idx);
-                }
-            }
-        }
+        let (_, reshared) = self.leaves.restore();
+        let (dir_pages, next_leaf_seq, live) = &**self.captured.as_ref().expect("captured");
+        let mut bytes = reshared * LEAF_BYTES;
         if self.dir_dirty {
-            self.dir_pages = baseline.dir_pages.clone();
-            bytes += baseline.dir_pages.len() as u64 * DIR_PAGE_BYTES;
+            self.dir_pages = dir_pages.clone();
+            bytes += dir_pages.len() as u64 * DIR_PAGE_BYTES;
             self.dir_dirty = false;
         }
         // Rewinding the sequence counter keeps simulated leaf addresses
         // of post-restore allocations bit-identical to a fresh load.
-        self.next_leaf_seq = baseline.next_leaf_seq;
-        self.live = baseline.live;
+        self.next_leaf_seq = *next_leaf_seq;
+        self.live = *live;
         bytes
     }
 }

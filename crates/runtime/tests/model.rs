@@ -9,10 +9,14 @@
 //! handles around *opaquely*, and a handle surviving a
 //! `set → copy_range → get` round trip must still resolve to the record
 //! it was interned from.
+//!
+//! The lifecycle property adds the snapshot operations the VM's
+//! per-request recycling runs (capture, restore, fork) over addresses
+//! that straddle host-page boundaries of every organization.
 
 use std::collections::BTreeMap;
 
-use levee_rt::{Entry, MetaId, MetaTable, Slot, StoreKind};
+use levee_rt::{Entry, MetaId, MetaTable, PtrStore, Slot, StoreKind};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -26,7 +30,10 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // Keep addresses in a small window so operations collide often.
-    let addr = (0u64..64).prop_map(|s| 0x1_0000 + s * 8);
+    ops_over((0u64..64).prop_map(|s| 0x1_0000 + s * 8))
+}
+
+fn ops_over(addr: impl Strategy<Value = u64> + Clone + 'static) -> impl Strategy<Value = Op> {
     prop_oneof![
         (addr.clone(), 1u64..100, 0u64..8).prop_map(|(addr, word, prov)| Op::Set {
             addr,
@@ -160,6 +167,123 @@ fn check_kind(kind: StoreKind, ops: &[Op]) {
     }
 }
 
+/// Every address the lifecycle ops may name: 32 slots around each of
+/// three 1 MiB boundaries, which are host-page boundaries of all four
+/// organizations (a superpage covers 1 MiB of keys).
+fn wide_addrs() -> impl Iterator<Item = u64> {
+    (1..4u64).flat_map(|p| (0..32u64).map(move |s| (p << 20) - 0x80 + s * 8))
+}
+
+#[derive(Debug, Clone)]
+enum LifeOp {
+    Op(Op),
+    Capture,
+    Restore,
+    Fork,
+}
+
+fn life_op_strategy() -> impl Strategy<Value = LifeOp> {
+    let addr = (1..4u64, 0..32u64).prop_map(|(p, s)| (p << 20) - 0x80 + s * 8);
+    prop_oneof![
+        8 => ops_over(addr).prop_map(LifeOp::Op),
+        1 => Just(LifeOp::Capture),
+        2 => Just(LifeOp::Restore),
+        1 => Just(LifeOp::Fork),
+    ]
+}
+
+/// What a restore must bring back: the slots, the live count and the
+/// footprint.
+struct Image {
+    map: BTreeMap<u64, Slot>,
+    entries: usize,
+    bytes: u64,
+}
+
+impl Image {
+    fn of(store: &dyn PtrStore, model: &Model) -> Image {
+        Image {
+            map: model.map.clone(),
+            entries: store.entry_count(),
+            bytes: store.memory_bytes(),
+        }
+    }
+
+    /// Checks the counters first: probing slots may grow a two-level
+    /// directory.
+    fn check(&self, store: &mut dyn PtrStore, what: &str) {
+        assert_eq!(
+            (store.entry_count(), store.memory_bytes()),
+            (self.entries, self.bytes),
+            "{what}: entry count and footprint"
+        );
+        for a in wide_addrs().chain(self.map.keys().copied()) {
+            let want = self.map.get(&a).copied();
+            assert_eq!(store.get(a).0, want, "{what}: slot {a:#x}");
+        }
+    }
+}
+
+fn check_lifecycle(kind: StoreKind, ops: &[LifeOp]) {
+    let mut meta = MetaTable::new();
+    let handles = mint_handles(&mut meta);
+    let slot_of = |word: u64, prov: u64| Slot::new(word, handles[prov as usize]);
+    let mut store = kind.instantiate(0x7000_0000_0000);
+    let mut model = Model::default();
+    let mut captured: Option<Image> = None;
+    // Each store a fork replaced, with what it held when forked.
+    let mut originals: Vec<(Box<dyn PtrStore>, Image)> = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        match op {
+            LifeOp::Op(op) => {
+                match op {
+                    Op::Set { addr, word, prov } => {
+                        let _ = store.set(*addr, slot_of(*word, *prov));
+                    }
+                    Op::Get { addr } => {
+                        let got = store.get(*addr).0;
+                        assert_eq!(got, model.map.get(addr).copied(), "{kind:?} op {i}");
+                    }
+                    Op::Clear { addr } => {
+                        let _ = store.clear(*addr);
+                    }
+                    Op::ClearRange { start, len } => {
+                        let _ = store.clear_range(*start, *len);
+                    }
+                    Op::CopyRange { dst, src, len } => {
+                        let _ = store.copy_range(*dst, *src, *len);
+                    }
+                }
+                model.apply(op, slot_of);
+                assert_eq!(store.entry_count(), model.map.len(), "{kind:?} op {i}");
+            }
+            LifeOp::Capture => {
+                store.capture_snapshot();
+                captured = Some(Image::of(&*store, &model));
+            }
+            LifeOp::Restore => {
+                let Some(image) = &captured else { continue };
+                let _ = store.restore_snapshot();
+                assert_eq!(
+                    store.restore_snapshot(),
+                    0,
+                    "{kind:?} op {i}: restore twice"
+                );
+                image.check(&mut *store, &format!("{kind:?} op {i}: restore"));
+                model.map = image.map.clone();
+            }
+            LifeOp::Fork => {
+                let fork = store.boxed_clone();
+                let image = Image::of(&*store, &model);
+                originals.push((std::mem::replace(&mut store, fork), image));
+            }
+        }
+    }
+    for (n, (mut original, image)) in originals.into_iter().enumerate() {
+        image.check(&mut *original, &format!("{kind:?}: original of fork {n}"));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -181,6 +305,13 @@ proptest! {
     #[test]
     fn hash_matches_model(ops in proptest::collection::vec(op_strategy(), 1..80)) {
         check_kind(StoreKind::Hash, &ops);
+    }
+
+    #[test]
+    fn snapshot_lifecycle_matches_model(ops in proptest::collection::vec(life_op_strategy(), 1..80)) {
+        for kind in StoreKind::all() {
+            check_lifecycle(*kind, &ops);
+        }
     }
 }
 

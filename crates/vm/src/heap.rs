@@ -41,26 +41,11 @@ pub struct Heap {
     /// Peak bytes in use.
     peak: u64,
     in_use: u64,
-    /// Post-load baseline for snapshot resets; see
-    /// [`capture_snapshot`](Self::capture_snapshot).
-    baseline: Option<Box<HeapBaseline>>,
+    /// Post-load baseline for snapshot resets: a clone of the whole
+    /// allocator, see [`capture_snapshot`](Self::capture_snapshot).
+    baseline: Option<Box<Heap>>,
     /// True once `malloc`/`free` ran after the last capture/restore.
     dirty: bool,
-}
-
-/// Complete allocator state at capture time. The heap right after
-/// `load()` holds at most a handful of loader allocations, so a full
-/// clone is cheap — and restores are cheaper still: a run that never
-/// touched the allocator restores nothing (see the `dirty` flag).
-#[derive(Clone)]
-struct HeapBaseline {
-    brk: u64,
-    next_id: u64,
-    free: HashMap<u64, Vec<u64>, FastHash>,
-    by_addr: HashMap<u64, Allocation, FastHash>,
-    dead_ids: std::collections::HashSet<u64>,
-    peak: u64,
-    in_use: u64,
 }
 
 /// Heap errors.
@@ -97,18 +82,13 @@ impl Heap {
     /// Captures the complete allocator state as the restore baseline.
     ///
     /// Called once right after `load()`, when the heap holds only the
-    /// loader's allocations (usually none), so the clone is tiny.
+    /// loader's allocations (usually none), so the clone is tiny — and
+    /// restores are cheaper still: a run that never touched the
+    /// allocator restores nothing (see the `dirty` flag).
     pub fn capture_snapshot(&mut self) {
-        self.baseline = Some(Box::new(HeapBaseline {
-            brk: self.brk,
-            next_id: self.next_id,
-            free: self.free.clone(),
-            by_addr: self.by_addr.clone(),
-            dead_ids: self.dead_ids.clone(),
-            peak: self.peak,
-            in_use: self.in_use,
-        }));
+        self.baseline = None;
         self.dirty = false;
+        self.baseline = Some(Box::new(self.clone()));
     }
 
     /// Reverts the allocator to the captured baseline; a run that never
@@ -122,19 +102,13 @@ impl Heap {
     ///
     /// Panics if [`capture_snapshot`](Self::capture_snapshot) never ran.
     pub fn restore_snapshot(&mut self) -> bool {
-        let baseline = self.baseline.as_ref().expect("no baseline captured");
-        if !self.dirty {
-            return false;
+        let baseline = self.baseline.take().expect("no baseline captured");
+        let restored = self.dirty;
+        if restored {
+            *self = (*baseline).clone();
         }
-        self.brk = baseline.brk;
-        self.next_id = baseline.next_id;
-        self.free = baseline.free.clone();
-        self.by_addr = baseline.by_addr.clone();
-        self.dead_ids = baseline.dead_ids.clone();
-        self.peak = baseline.peak;
-        self.in_use = baseline.in_use;
-        self.dirty = false;
-        true
+        self.baseline = Some(baseline);
+        restored
     }
 
     /// Allocates `size` bytes (8-aligned); returns the allocation record.

@@ -4,11 +4,13 @@
 //! region; *who is allowed to touch what* is decided by the caller (the
 //! machine) according to the isolation model — this module only provides
 //! paging, endianness and write protection of code/rodata.
+//!
+//! Pages live in a [`CowPages`] table, which holds the copy-on-write
+//! snapshot invariant behind [`Memory::capture_snapshot`] and
+//! [`Memory::restore_snapshot`] (see `levee_rt::pages`). This module adds
+//! the mapped and protected ranges and byte access.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use levee_rt::FastHash;
+use levee_rt::CowPages;
 
 /// Page size of the backing store.
 pub const PAGE_SIZE: u64 = 4096;
@@ -23,25 +25,17 @@ pub enum MemError {
 }
 
 /// One backing page.
-///
-/// Pages are reference-counted so a captured snapshot (see
-/// [`Memory::capture_snapshot`]) can share clean pages with the live
-/// image copy-on-write: a page whose `Arc` is shared with the baseline
-/// is split by [`Arc::make_mut`] on first write and recorded in the
-/// dirty list, so [`Memory::restore_snapshot`] only touches what a run
-/// actually wrote.
-type Page = Arc<[u8; PAGE_SIZE as usize]>;
+type Page = [u8; PAGE_SIZE as usize];
 
-/// Number of directly-indexed page slots covering the low 4 GB — the
-/// whole regular region (code, globals, heap, stacks) lives below this
-/// line. The table is 8 MB of virtual address space per machine, backed
-/// lazily by the host OS (allocated zeroed, so untouched slots cost
-/// nothing physical).
-const LOW_PAGES: u64 = (1 << 32) / PAGE_SIZE;
+/// Number of directly-indexed pages: the low 4 GB, where the whole
+/// regular region (code, globals, heap, stacks) lives. The direct table
+/// is 8 MB of virtual address space per machine, backed lazily by the
+/// host OS.
+const DIRECT_PAGES: usize = ((1u64 << 32) / PAGE_SIZE) as usize;
 
 /// Size-specialized little-endian store into a page.
 #[inline(always)]
-fn write_le(p: &mut [u8; PAGE_SIZE as usize], off: usize, val: u64, size: u64) {
+fn write_le(p: &mut Page, off: usize, val: u64, size: u64) {
     match size {
         8 => p[off..off + 8].copy_from_slice(&val.to_le_bytes()),
         4 => p[off..off + 4].copy_from_slice(&(val as u32).to_le_bytes()),
@@ -50,67 +44,54 @@ fn write_le(p: &mut [u8; PAGE_SIZE as usize], off: usize, val: u64, size: u64) {
     }
 }
 
+/// Mapped and write-protected address ranges.
+type Ranges = (Vec<(u64, u64)>, Vec<(u64, u64)>);
+
 /// Sparse paged memory.
 ///
 /// Page lookup is the hottest operation in the VM — every simulated
 /// load/store performs one — so the low 4 GB (the regular region) is
-/// indexed by a flat direct table: one load, no hashing. High addresses
-/// (the safe region) fall back to a hash map; they are touched far less
-/// often.
-#[derive(Default, Clone)]
+/// indexed by the table's direct tier: one load, no hashing. High
+/// addresses (the safe region) fall back to its hash tier; they are
+/// touched far less often.
+#[derive(Clone)]
 pub struct Memory {
-    /// Direct page table for pages below 4 GB, allocated zeroed on
-    /// first touch.
-    low: Vec<Option<Page>>,
-    /// Pages at or above 4 GB (safe region).
-    high_pages: HashMap<u64, Page, FastHash>,
-    /// Resident page count across both tiers.
-    resident: usize,
+    pages: CowPages<Page>,
     /// Write-protected address ranges (code segment, read-only globals).
     protected: Vec<(u64, u64)>,
     /// Ranges that reads may touch without an explicit prior write
     /// (mapped-but-zero regions: stacks, bss). Reads elsewhere fault.
     mapped: Vec<(u64, u64)>,
-    /// Post-load baseline image shared copy-on-write with the live
-    /// pages. `Some` turns on dirty tracking in the write chokepoints.
-    baseline: Option<Box<MemBaseline>>,
-    /// Page indices dirtied since the last capture/restore. No dedup
-    /// needed: the first write to a shared page splits its `Arc`
-    /// (strong count drops to 1 on the live side), so later writes
-    /// skip the push; run-materialized pages are pushed exactly once,
-    /// at materialization.
-    dirty: Vec<u64>,
+    /// `protected` and `mapped` at capture time: runs can grow them
+    /// (`malloc` maps a range per allocation).
+    captured_ranges: Option<Box<Ranges>>,
     /// True when `protect`/`map_zero` ran after capture — the range
-    /// sets must then be cloned back from the baseline on restore.
+    /// sets must then be cloned back on restore.
     ranges_dirty: bool,
 }
 
-/// Immutable post-load image backing [`Memory::restore_snapshot`].
-///
-/// Holds an `Arc` clone of every page resident at capture time (both
-/// tiers, keyed by page index) plus the scalars and range sets a run
-/// can move. Clean pages stay physically shared with the live image —
-/// the snapshot's only private memory is the pre-write copy of pages
-/// the current run has dirtied (see
-/// [`Memory::snapshot_private_bytes`]).
-#[derive(Clone)]
-struct MemBaseline {
-    pages: HashMap<u64, Page, FastHash>,
-    resident: usize,
-    protected: Vec<(u64, u64)>,
-    mapped: Vec<(u64, u64)>,
+impl Default for Memory {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Memory {
     /// Creates an empty memory image.
     pub fn new() -> Self {
-        Self::default()
+        Memory {
+            pages: CowPages::new(DIRECT_PAGES),
+            protected: Vec::new(),
+            mapped: Vec::new(),
+            captured_ranges: None,
+            ranges_dirty: false,
+        }
     }
 
     /// Marks `[start, start+len)` write-protected (returns nothing; the
     /// protection is enforced on every subsequent write).
     pub fn protect(&mut self, start: u64, len: u64) {
-        if self.baseline.is_some() {
+        if self.pages.captured() {
             self.ranges_dirty = true;
         }
         self.protected.push((start, start.saturating_add(len)));
@@ -122,7 +103,7 @@ impl Memory {
     /// per allocation, so lookups must not degrade to a linear scan
     /// over thousands of entries.
     pub fn map_zero(&mut self, start: u64, len: u64) {
-        if self.baseline.is_some() {
+        if self.pages.captured() {
             self.ranges_dirty = true;
         }
         let end = start.saturating_add(len);
@@ -168,83 +149,23 @@ impl Memory {
 
     /// The resident page containing `page_idx`, if materialized.
     #[inline(always)]
-    fn page(&self, page_idx: u64) -> Option<&[u8; PAGE_SIZE as usize]> {
-        if page_idx < LOW_PAGES {
-            self.low.get(page_idx as usize)?.as_deref()
-        } else {
-            self.high_pages.get(&page_idx).map(|p| &**p)
-        }
+    fn page(&self, page_idx: u64) -> Option<&Page> {
+        self.pages.get(page_idx)
     }
 
-    /// Mutable access to the resident page containing `page_idx`.
-    ///
-    /// This is one of the two write chokepoints (with
-    /// [`ensure_page`](Self::ensure_page)): when a snapshot is live and
-    /// the page is still shared with it, the page is recorded dirty and
-    /// split copy-on-write before the caller writes through it.
+    /// Mutable access to the resident page containing `page_idx`, split
+    /// from the snapshot first if still shared with it.
     #[inline(always)]
-    fn page_mut(&mut self, page_idx: u64) -> Option<&mut [u8; PAGE_SIZE as usize]> {
-        if page_idx < LOW_PAGES {
-            let page = self.low.get_mut(page_idx as usize)?.as_mut()?;
-            if self.baseline.is_some() && Arc::strong_count(page) > 1 {
-                self.dirty.push(page_idx);
-            }
-            Some(Arc::make_mut(page))
-        } else {
-            let page = self.high_pages.get_mut(&page_idx)?;
-            if self.baseline.is_some() && Arc::strong_count(page) > 1 {
-                self.dirty.push(page_idx);
-            }
-            Some(Arc::make_mut(page))
-        }
+    fn page_mut(&mut self, page_idx: u64) -> Option<&mut Page> {
+        self.pages.get_mut(page_idx)
     }
 
-    /// Materializes (or returns) the page containing `page_idx` — the
-    /// second write chokepoint; see [`page_mut`](Self::page_mut) for
-    /// the dirty-tracking contract. Pages materialized while a snapshot
-    /// is live are dirty by construction (the baseline doesn't hold
-    /// them) and recorded here, at materialization.
-    fn ensure_page(&mut self, page_idx: u64) -> &mut [u8; PAGE_SIZE as usize] {
-        let tracking = self.baseline.is_some();
-        if page_idx < LOW_PAGES {
-            if self.low.is_empty() {
-                // One zeroed 8 MB table; the host OS backs it lazily.
-                self.low = vec![None; LOW_PAGES as usize];
-            }
-            let slot = &mut self.low[page_idx as usize];
-            match slot {
-                Some(page) => {
-                    if tracking && Arc::strong_count(page) > 1 {
-                        self.dirty.push(page_idx);
-                    }
-                    Arc::make_mut(page)
-                }
-                None => {
-                    if tracking {
-                        self.dirty.push(page_idx);
-                    }
-                    self.resident += 1;
-                    Arc::make_mut(slot.insert(Arc::new([0; PAGE_SIZE as usize])))
-                }
-            }
-        } else {
-            match self.high_pages.entry(page_idx) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let page = e.into_mut();
-                    if tracking && Arc::strong_count(page) > 1 {
-                        self.dirty.push(page_idx);
-                    }
-                    Arc::make_mut(page)
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    if tracking {
-                        self.dirty.push(page_idx);
-                    }
-                    self.resident += 1;
-                    Arc::make_mut(e.insert(Arc::new([0; PAGE_SIZE as usize])))
-                }
-            }
-        }
+    /// Materializes (or returns) the page containing `page_idx`, ready
+    /// for writing.
+    fn ensure_page(&mut self, page_idx: u64) -> &mut Page {
+        self.pages
+            .get_or_insert_with(page_idx, || [0; PAGE_SIZE as usize])
+            .0
     }
 
     /// Reads one byte.
@@ -467,34 +388,18 @@ impl Memory {
     }
 
     /// Captures the current image as the restore baseline and turns on
-    /// dirty tracking in the write chokepoints.
+    /// dirty tracking.
     ///
     /// Cheap in memory: every resident page is shared with the
-    /// baseline by `Arc` clone, so capture costs one refcount bump and
-    /// one map entry per page, not a byte copy. The scalars and range
-    /// sets (`protected`, `mapped`) are cloned since runs can grow
-    /// them (`malloc` maps a range per allocation).
+    /// baseline, not copied. The range sets (`protected`, `mapped`) are
+    /// cloned since runs can grow them.
     ///
     /// Called by the machine once, right after `load()` — see
     /// `Machine::boot` in `levee-vm` — and recapturing simply replaces
     /// the baseline with the current image.
     pub fn capture_snapshot(&mut self) {
-        let mut pages = HashMap::with_capacity_and_hasher(self.resident, FastHash::default());
-        for (idx, slot) in self.low.iter().enumerate() {
-            if let Some(page) = slot {
-                pages.insert(idx as u64, Arc::clone(page));
-            }
-        }
-        for (&idx, page) in &self.high_pages {
-            pages.insert(idx, Arc::clone(page));
-        }
-        self.baseline = Some(Box::new(MemBaseline {
-            pages,
-            resident: self.resident,
-            protected: self.protected.clone(),
-            mapped: self.mapped.clone(),
-        }));
-        self.dirty.clear();
+        self.pages.capture();
+        self.captured_ranges = Some(Box::new((self.protected.clone(), self.mapped.clone())));
         self.ranges_dirty = false;
     }
 
@@ -502,60 +407,33 @@ impl Memory {
     /// baseline, leaving the image bit-identical to the moment of
     /// [`capture_snapshot`](Self::capture_snapshot).
     ///
-    /// Cost is proportional to what the run touched, not to the image:
-    /// baseline pages are re-shared by `Arc` clone (the run's private
-    /// copy is dropped), run-materialized pages are unmapped. Returns
-    /// `(pages_dirtied, bytes_restored)` where `bytes_restored` counts
-    /// a page size per baseline page reverted (dropped run-only pages
-    /// restore no bytes).
+    /// Cost is proportional to what the run touched, not to the image.
+    /// Returns `(pages_dirtied, bytes_restored)` where `bytes_restored`
+    /// counts a page size per baseline page reverted (dropped run-only
+    /// pages restore no bytes).
     ///
     /// # Panics
     ///
     /// Panics if no snapshot was captured — restoring without a
     /// baseline is a machine lifecycle bug, not a recoverable state.
     pub fn restore_snapshot(&mut self) -> (u64, u64) {
-        let baseline = self.baseline.take().expect("no baseline captured");
-        let pages_dirtied = self.dirty.len() as u64;
-        let mut bytes_restored = 0u64;
-        for idx in std::mem::take(&mut self.dirty) {
-            let restored = baseline.pages.get(&idx).map(Arc::clone);
-            if restored.is_some() {
-                bytes_restored += PAGE_SIZE;
-            }
-            if idx < LOW_PAGES {
-                // Dirty low pages were materialized, so the table is
-                // allocated and covers `idx`.
-                self.low[idx as usize] = restored;
-            } else {
-                match restored {
-                    Some(page) => drop(self.high_pages.insert(idx, page)),
-                    None => drop(self.high_pages.remove(&idx)),
-                }
-            }
-        }
-        self.resident = baseline.resident;
+        let (pages_dirtied, reshared) = self.pages.restore();
         if self.ranges_dirty {
-            self.protected = baseline.protected.clone();
-            self.mapped = baseline.mapped.clone();
+            let (protected, mapped) = &**self.captured_ranges.as_ref().expect("captured");
+            self.protected = protected.clone();
+            self.mapped = mapped.clone();
             self.ranges_dirty = false;
         }
-        self.baseline = Some(baseline);
-        (pages_dirtied, bytes_restored)
-    }
-
-    /// True once [`capture_snapshot`](Self::capture_snapshot) has run.
-    pub fn has_snapshot(&self) -> bool {
-        self.baseline.is_some()
+        (pages_dirtied, reshared * PAGE_SIZE)
     }
 
     /// Number of pages held by the captured baseline (0 without one).
     pub fn snapshot_pages(&self) -> usize {
-        self.baseline.as_ref().map_or(0, |b| b.pages.len())
+        self.pages.baseline_pages()
     }
 
     /// Bytes the snapshot holds *privately* — baseline pages no longer
-    /// shared with the live image because the current run dirtied them
-    /// (their `Arc` strong count dropped to 1, the baseline's own).
+    /// shared with the live image because the current run dirtied them.
     ///
     /// This is the snapshot's true incremental footprint: clean pages
     /// are physically shared and already counted by
@@ -563,31 +441,16 @@ impl Memory {
     /// `resident_bytes() + snapshot_private_bytes()` is the whole
     /// image's cost with no double counting.
     pub fn snapshot_private_bytes(&self) -> u64 {
-        self.baseline.as_ref().map_or(0, |b| {
-            b.pages
-                .values()
-                .filter(|p| Arc::strong_count(p) == 1)
-                .count() as u64
-                * PAGE_SIZE
-        })
-    }
-
-    /// Number of resident (materialized) pages in the live image.
-    ///
-    /// Pages shared copy-on-write with a captured snapshot are counted
-    /// once: the baseline's `Arc` clones alias the same allocations,
-    /// so residency here *is* the physical footprint of the live image
-    /// (see [`snapshot_private_bytes`](Self::snapshot_private_bytes)
-    /// for the snapshot's own increment).
-    pub fn resident_pages(&self) -> usize {
-        self.resident
+        self.pages.private_pages() as u64 * PAGE_SIZE
     }
 
     /// Resident bytes (pages × page size) — the denominator of the
-    /// memory-overhead experiments. Snapshot-shared pages are counted
-    /// once; see [`resident_pages`](Self::resident_pages).
+    /// memory-overhead experiments. Pages shared copy-on-write with a
+    /// captured snapshot are counted once: the baseline aliases the
+    /// same allocations, so residency here *is* the physical footprint
+    /// of the live image.
     pub fn resident_bytes(&self) -> u64 {
-        self.resident as u64 * PAGE_SIZE
+        self.pages.resident() as u64 * PAGE_SIZE
     }
 }
 
@@ -724,7 +587,6 @@ mod tests {
         m.map_zero(0x3000, 4096);
         m.fill(0x3000, 0xAB, 16).unwrap();
         assert_eq!(m.read_u8(0x300f).unwrap(), 0xAB);
-        assert_eq!(m.resident_pages(), 1);
         assert_eq!(m.resident_bytes(), PAGE_SIZE);
     }
 
@@ -735,7 +597,6 @@ mod tests {
         m.write_uint(0x1000, 0xAAAA, 8).unwrap(); // page 1: baseline data
         m.write_uint(0x2000, 0xBBBB, 8).unwrap(); // page 2: baseline data
         m.capture_snapshot();
-        assert!(m.has_snapshot());
         assert_eq!(m.snapshot_pages(), 2);
 
         // A clean run restores nothing.
@@ -751,7 +612,7 @@ mod tests {
         assert_eq!(m.read_uint(0x2000, 8).unwrap(), 0xBBBB);
         // The run-only page is gone; its mapped range reads as zero again.
         assert_eq!(m.read_uint(0x3000, 8).unwrap(), 0);
-        assert_eq!(m.resident_pages(), 2);
+        assert_eq!(m.resident_bytes(), 2 * PAGE_SIZE);
     }
 
     #[test]
@@ -775,7 +636,7 @@ mod tests {
         m.write_u8(high, 9).unwrap();
         m.restore_snapshot();
         assert_eq!(m.read_u8(high), Err(MemError::Unmapped { addr: high }));
-        assert_eq!(m.resident_pages(), 1);
+        assert_eq!(m.resident_bytes(), PAGE_SIZE);
     }
 
     #[test]
@@ -820,12 +681,5 @@ mod tests {
         // Restore re-shares it.
         m.restore_snapshot();
         assert_eq!(m.snapshot_private_bytes(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no baseline captured")]
-    fn restore_without_capture_is_a_lifecycle_bug() {
-        let mut m = Memory::new();
-        m.restore_snapshot();
     }
 }

@@ -15,8 +15,9 @@
 //! * bytecode, fusion on, profiler on  (profiling is host-side
 //!   observation: every counter must be bit-identical with it on)
 //! * bytecode, fusion on, snapshot-recycled  (run → copy-on-write
-//!   snapshot reset → run again on one machine: recycling must replay
-//!   bit-identically against a fresh boot)
+//!   snapshot reset → run → reset again on one machine: recycling must
+//!   replay bit-identically against a fresh boot, and both resets must
+//!   report the same cost)
 //!
 //! …and the whole lineup repeats for every safe-pointer-store
 //! organization (`DIFF_FUZZ_STORES` selects a subset by name, e.g.
@@ -462,6 +463,19 @@ fn differential(src: &str, config: BuildConfig, fuel: u64, what: &str) {
                 "{what}: default reset must take the snapshot path"
             );
             let recycled = vm.run(b"");
+            // A second recycle must cost exactly what the first did: a
+            // restore that failed to re-share a page would leave it
+            // private and change `pages_dirtied` here.
+            let first_reset = vm.last_reset_stats();
+            vm.reset();
+            assert_eq!(
+                vm.last_reset_stats(),
+                first_reset,
+                "{what} under {} store {} fuel {fuel}: the second recycle cost differently\n\
+                 --- source ---\n{src}",
+                config.name(),
+                store.name(),
+            );
             let agree = recycled.status == reference.status
                 && recycled.output == reference.output
                 && recycled.stats.cycles == reference.stats.cycles
