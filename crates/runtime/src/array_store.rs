@@ -70,22 +70,23 @@ impl ArrayStore {
         self.base + Self::slot_of(addr) * SLOT_SIZE
     }
 
-    fn slot_ref(&self, addr: u64, touched: &mut Touched) -> Option<Slot> {
-        touched.push(self.slot_addr(addr));
-        let slot = Self::slot_of(addr);
-        let page_idx = slot / self.slots_per_page;
-        let in_page = (slot % self.slots_per_page) as usize;
-        self.pages.get(page_idx).and_then(|p| p[in_page])
-    }
-
-    fn set_slot(&mut self, addr: u64, value: Option<Slot>, t: &mut Touched) {
+    /// The slot's page index and position in the page, recording the
+    /// slot's simulated address in `t`.
+    fn locate(&self, addr: u64, t: &mut Touched) -> (u64, usize) {
         t.push(self.slot_addr(addr));
         let slot = Self::slot_of(addr);
-        let page_idx = slot / self.slots_per_page;
-        let in_page = (slot % self.slots_per_page) as usize;
+        (
+            slot / self.slots_per_page,
+            (slot % self.slots_per_page) as usize,
+        )
+    }
+
+    fn set_slot(&mut self, addr: u64, value: Option<Slot>) -> Touched {
+        let mut t = Touched::default();
+        let (page_idx, in_page) = self.locate(addr, &mut t);
         if value.is_none() && self.pages.get(page_idx).is_none() {
             // Never fault a page in just to record an absence.
-            return;
+            return t;
         }
         let spp = self.slots_per_page as usize;
         let (page, fault) = self.pages.get_or_insert_with(page_idx, || vec![None; spp]);
@@ -96,7 +97,8 @@ impl ArrayStore {
         };
         page[in_page] = value;
         self.live = (self.live as isize + delta) as usize;
-        t.page_fault |= fault;
+        t.page_fault = fault;
+        t
     }
 }
 
@@ -106,21 +108,17 @@ impl PtrStore for ArrayStore {
     }
 
     fn set(&mut self, addr: u64, slot: Slot) -> Touched {
-        let mut t = Touched::default();
-        self.set_slot(addr, Some(slot), &mut t);
-        t
+        self.set_slot(addr, Some(slot))
     }
 
     fn get(&mut self, addr: u64) -> (Option<Slot>, Touched) {
         let mut t = Touched::default();
-        let s = self.slot_ref(addr, &mut t);
-        (s, t)
+        let (page_idx, in_page) = self.locate(addr, &mut t);
+        (self.pages.get(page_idx).and_then(|p| p[in_page]), t)
     }
 
     fn clear(&mut self, addr: u64) -> Touched {
-        let mut t = Touched::default();
-        self.set_slot(addr, None, &mut t);
-        t
+        self.set_slot(addr, None)
     }
 
     fn entry_count(&self) -> usize {

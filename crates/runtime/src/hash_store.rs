@@ -38,12 +38,9 @@ pub struct HashStore {
     /// High-water mark of resident buckets, for memory accounting.
     max_capacity: usize,
     /// The captured post-load image ([`PtrStore::capture_snapshot`]): a
-    /// clone of the whole store (it is tiny at load time — the loader's
-    /// protected initializer slots in the initial 64-bucket geometry).
-    /// Restoring its capacity and mask keeps probe addresses
-    /// bit-identical to a fresh load. Unlike the page/leaf
-    /// organizations there is no useful substructure to track dirt at —
-    /// growth rehashes every bucket — so the dirty granularity is the
+    /// clone of the whole (then tiny) store, so a restore also brings
+    /// back the capacity and mask that probe addresses depend on.
+    /// Growth rehashes every bucket, so the dirty granularity is the
     /// whole table.
     baseline: Option<Box<HashStore>>,
     /// Whether any mutation diverged the table from the baseline.

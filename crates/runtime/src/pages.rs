@@ -1,35 +1,27 @@
 //! The copy-on-write page table under the VM's regular memory and the
-//! paged safe-pointer stores.
+//! paged safe-pointer stores: memory's 4 KiB byte pages, the array
+//! store's slot pages and the two-level store's leaves. It holds the
+//! invariant every snapshot reset (`levee_vm`'s `Machine::reset`)
+//! depends on:
 //!
-//! Per-request recycling restores a machine from the image captured
-//! right after `load()` (see `levee_vm`'s `Machine::reset`). For every
-//! paged structure — memory's 4 KiB byte pages, the array store's slot
-//! pages, the two-level store's leaves — that snapshot is this one
-//! table, and its invariant lives here:
-//!
-//! * pages are `Arc`-shared: [`CowPages::capture`] clones every resident
-//!   page's `Arc` into the baseline, so a capture copies no bytes;
+//! * [`CowPages::capture`] shares every resident page's `Arc` with the
+//!   baseline, so a capture copies no bytes;
 //! * the write path ([`CowPages::get_mut`],
 //!   [`CowPages::get_or_insert_with`]) splits a page still shared with
 //!   the baseline (`Arc::strong_count > 1`) before the caller writes and
-//!   logs it dirty; a page materialized after the capture is logged at
-//!   materialization. A page is logged once per divergence, so the
-//!   dirty list is exactly what the last run changed;
+//!   logs it dirty, and logs a page materialized after the capture, so
+//!   the dirty list is what the last run changed;
 //! * [`CowPages::restore`] walks only the dirty list: a baseline page is
-//!   re-shared (the run's private copy is dropped), a run-materialized
-//!   page is dropped.
+//!   re-shared, a run-materialized page is dropped.
 //!
-//! Lookup has two tiers. Page indices below a per-caller span are
-//! indexed directly (one bounds-checked load, no hashing: memory's page
-//! lookup is the VM's hottest operation); the direct table is allocated
-//! zeroed at the first touch, so the OS backs it lazily and only the
-//! entries ever written cost memory. Indices at or above the span (the
-//! safe region, far-away store keys) live in a hash map.
-//!
-//! A clone shares pages and the baseline copy-on-write and keeps its
-//! own dirty list, so a forked machine recycles independently of its
-//! original. Cloning copies the direct table only up to the highest
-//! index ever materialized.
+//! Page indices below a per-caller span are indexed directly (one
+//! bounds-checked load, no hashing: memory's page lookup is the VM's
+//! hottest operation); the rest live in a hash map. The direct tier
+//! grows by doubling to the highest index materialized, each time into
+//! a zeroed allocation that only resident entries are moved into, so
+//! the OS backs the rest lazily and a clone or capture costs at most
+//! twice that index. A clone shares pages and the baseline and keeps
+//! its own dirty list, so a forked machine recycles independently.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -37,16 +29,17 @@ use std::sync::Arc;
 
 use crate::fasthash::FastHash;
 
+// Page indices are `u64` and index the direct tier as `usize`, which is
+// lossless only on 64-bit hosts.
+const _: () = assert!(usize::BITS >= 64);
+
 /// A sparse table of copy-on-write pages keyed by page index, with a
 /// captured baseline that [`CowPages::restore`] rewinds to.
+#[derive(Clone)]
 pub struct CowPages<P> {
-    /// Pages below `span`, indexed directly: empty until the first
-    /// direct page materializes, then `span` entries allocated zeroed.
-    direct: Vec<Option<Arc<P>>>,
-    /// One past the highest direct index ever materialized; `clone` and
-    /// `capture` read only this prefix.
-    direct_used: usize,
-    /// Number of page indices the direct tier covers.
+    /// Pages below `span`, indexed directly; grown on demand.
+    direct: Box<[Option<Arc<P>>]>,
+    /// Number of page indices the direct tier may cover.
     span: usize,
     /// Pages at or above `span`.
     hashed: HashMap<u64, Arc<P>, FastHash>,
@@ -70,8 +63,7 @@ impl<P: Clone> CowPages<P> {
     /// `span` (0: every page is hashed).
     pub fn new(span: usize) -> Self {
         CowPages {
-            direct: Vec::new(),
-            direct_used: 0,
+            direct: Box::default(),
             span,
             hashed: HashMap::default(),
             resident: 0,
@@ -85,8 +77,8 @@ impl<P: Clone> CowPages<P> {
     pub fn get(&self, idx: u64) -> Option<&P> {
         match self.direct.get(idx as usize) {
             Some(page) => page.as_deref(),
-            // An unallocated direct tier holds nothing, so a hash miss
-            // answers for its indices too.
+            // The hashed tier holds no index below the span, so a miss
+            // there also answers for direct indices not yet covered.
             None => self.hashed.get(&idx).map(|p| &**p),
         }
     }
@@ -111,17 +103,14 @@ impl<P: Clone> CowPages<P> {
     /// materialized while a baseline exists is logged dirty.
     #[inline]
     pub fn get_or_insert_with(&mut self, idx: u64, fresh: impl FnOnce() -> P) -> (&mut P, bool) {
-        let (page, fault) = if idx < self.span as u64 {
-            if self.direct.is_empty() {
-                self.direct = vec![None; self.span];
+        let i = idx as usize;
+        let (page, fault) = if i < self.span {
+            if i >= self.direct.len() {
+                self.grow_direct(i);
             }
-            let i = idx as usize;
             match &mut self.direct[i] {
                 Some(page) => (page, false),
-                empty => {
-                    self.direct_used = self.direct_used.max(i + 1);
-                    (empty.insert(Arc::new(fresh())), true)
-                }
+                empty => (empty.insert(Arc::new(fresh())), true),
             }
         } else {
             match self.hashed.entry(idx) {
@@ -138,14 +127,28 @@ impl<P: Clone> CowPages<P> {
         (Arc::make_mut(page), fault)
     }
 
+    /// Grows the direct tier to cover index `i`: doubling, up to the
+    /// span, into a zeroed allocation that only resident entries are
+    /// moved into.
+    #[cold]
+    fn grow_direct(&mut self, i: usize) {
+        let len = (i + 1).next_power_of_two().min(self.span);
+        let mut grown = vec![None; len].into_boxed_slice();
+        for (j, page) in std::mem::take(&mut self.direct)
+            .into_vec()
+            .into_iter()
+            .enumerate()
+        {
+            if page.is_some() {
+                grown[j] = page;
+            }
+        }
+        self.direct = grown;
+    }
+
     /// Number of resident pages.
     pub fn resident(&self) -> usize {
         self.resident
-    }
-
-    /// True once [`capture`](Self::capture) has run.
-    pub fn captured(&self) -> bool {
-        self.baseline.is_some()
     }
 
     /// Captures the resident pages as the baseline (replacing any
@@ -153,7 +156,7 @@ impl<P: Clone> CowPages<P> {
     /// per resident page; no page is copied.
     pub fn capture(&mut self) {
         let mut pages = HashMap::with_capacity_and_hasher(self.resident, FastHash::default());
-        for (i, page) in self.direct[..self.direct_used].iter().enumerate() {
+        for (i, page) in self.direct.iter().enumerate() {
             if let Some(page) = page {
                 pages.insert(i as u64, Arc::clone(page));
             }
@@ -182,10 +185,8 @@ impl<P: Clone> CowPages<P> {
         for idx in self.dirty.drain(..) {
             let page = baseline.pages.get(&idx).cloned();
             reshared += u64::from(page.is_some());
-            if idx < self.span as u64 {
-                // A dirty direct page was materialized, so the tier is
-                // allocated.
-                self.direct[idx as usize] = page;
+            if let Some(slot) = self.direct.get_mut(idx as usize) {
+                *slot = page;
             } else if let Some(page) = page {
                 self.hashed.insert(idx, page);
             } else {
@@ -210,25 +211,6 @@ impl<P: Clone> CowPages<P> {
                 .filter(|p| Arc::strong_count(p) == 1)
                 .count()
         })
-    }
-}
-
-impl<P> Clone for CowPages<P> {
-    fn clone(&self) -> Self {
-        let mut direct = Vec::new();
-        if !self.direct.is_empty() {
-            direct = vec![None; self.span];
-            direct[..self.direct_used].clone_from_slice(&self.direct[..self.direct_used]);
-        }
-        CowPages {
-            direct,
-            direct_used: self.direct_used,
-            span: self.span,
-            hashed: self.hashed.clone(),
-            resident: self.resident,
-            baseline: self.baseline.clone(),
-            dirty: self.dirty.clone(),
-        }
     }
 }
 
@@ -264,26 +246,15 @@ mod tests {
     }
 
     #[test]
-    fn clean_restore_returns_nothing() {
-        let mut t = CowPages::new(SPAN);
-        for idx in TIERS {
-            write(&mut t, idx, idx);
-        }
-        t.capture();
-        assert_eq!(t.baseline_pages(), 2);
-        assert_eq!(t.restore(), (0, 0));
-        // Reads do not dirty.
-        assert_eq!(t.get(TIERS[0]), Some(&TIERS[0]));
-        assert_eq!(t.restore(), (0, 0));
-    }
-
-    #[test]
     fn restore_reshares_baseline_pages_and_drops_run_pages() {
         let mut t = CowPages::new(SPAN);
         for idx in TIERS {
             write(&mut t, idx, 100 + idx);
         }
         t.capture();
+        assert_eq!(t.baseline_pages(), 2);
+        assert_eq!(t.get(TIERS[0]), Some(&101)); // reads do not dirty
+        assert_eq!(t.restore(), (0, 0), "a clean restore");
         for idx in TIERS {
             write(&mut t, idx, 0); // dirty a baseline page
             write(&mut t, idx + 1, 5); // materialize a run page
@@ -353,8 +324,6 @@ mod tests {
         assert_eq!(t.private_pages(), 0, "restore re-shares");
     }
 
-    /// Moved here from `mem.rs` and `array_store.rs`: the panic is the
-    /// table's.
     #[test]
     #[should_panic(expected = "no baseline captured")]
     fn restore_without_capture_is_a_lifecycle_bug() {

@@ -114,6 +114,42 @@ fn mint_handles(meta: &mut MetaTable) -> Vec<MetaId> {
     v
 }
 
+/// Applies `op` to the store and the model, checking a `Get` against
+/// the model and the live count after every op.
+fn step(
+    store: &mut dyn PtrStore,
+    model: &mut Model,
+    op: &Op,
+    slot_of: impl Fn(u64, u64) -> Slot,
+    what: &str,
+) {
+    match op {
+        Op::Set { addr, word, prov } => {
+            let _ = store.set(*addr, slot_of(*word, *prov));
+        }
+        Op::Get { addr } => {
+            let got = store.get(*addr).0;
+            let want = model.map.get(addr).copied();
+            assert_eq!(got, want, "{what}: get({addr:#x}) diverged");
+        }
+        Op::Clear { addr } => {
+            let _ = store.clear(*addr);
+        }
+        Op::ClearRange { start, len } => {
+            let _ = store.clear_range(*start, *len);
+        }
+        Op::CopyRange { dst, src, len } => {
+            let _ = store.copy_range(*dst, *src, *len);
+        }
+    }
+    model.apply(op, slot_of);
+    assert_eq!(
+        store.entry_count(),
+        model.map.len(),
+        "{what}: live-count diverged after {op:?}"
+    );
+}
+
 fn check_kind(kind: StoreKind, ops: &[Op]) {
     let mut meta = MetaTable::new();
     let handles = mint_handles(&mut meta);
@@ -121,30 +157,12 @@ fn check_kind(kind: StoreKind, ops: &[Op]) {
     let mut store = kind.instantiate(0x7000_0000_0000);
     let mut model = Model::default();
     for (i, op) in ops.iter().enumerate() {
-        match op {
-            Op::Set { addr, word, prov } => {
-                let _ = store.set(*addr, slot_of(*word, *prov));
-            }
-            Op::Get { addr } => {
-                let got = store.get(*addr).0;
-                let want = model.map.get(addr).copied();
-                assert_eq!(got, want, "{kind:?} op {i}: get({addr:#x}) diverged");
-            }
-            Op::Clear { addr } => {
-                let _ = store.clear(*addr);
-            }
-            Op::ClearRange { start, len } => {
-                let _ = store.clear_range(*start, *len);
-            }
-            Op::CopyRange { dst, src, len } => {
-                let _ = store.copy_range(*dst, *src, *len);
-            }
-        }
-        model.apply(op, slot_of);
-        assert_eq!(
-            store.entry_count(),
-            model.map.len(),
-            "{kind:?} op {i}: live-count diverged after {op:?}"
+        step(
+            &mut *store,
+            &mut model,
+            op,
+            slot_of,
+            &format!("{kind:?} op {i}"),
         );
     }
     // Full final sweep: words, handle identity, and handle liveness.
@@ -167,11 +185,16 @@ fn check_kind(kind: StoreKind, ops: &[Op]) {
     }
 }
 
-/// Every address the lifecycle ops may name: 32 slots around each of
-/// three 1 MiB boundaries, which are host-page boundaries of all four
-/// organizations (a superpage covers 1 MiB of keys).
+/// Slot `s` of the 32 around the `p`-th 1 MiB boundary, a host-page
+/// boundary of all four organizations (a superpage covers 1 MiB of
+/// keys).
+fn wide_addr(p: u64, s: u64) -> u64 {
+    (p << 20) - 0x80 + s * 8
+}
+
+/// Every address the lifecycle ops may name.
 fn wide_addrs() -> impl Iterator<Item = u64> {
-    (1..4u64).flat_map(|p| (0..32u64).map(move |s| (p << 20) - 0x80 + s * 8))
+    (1..4u64).flat_map(|p| (0..32u64).map(move |s| wide_addr(p, s)))
 }
 
 #[derive(Debug, Clone)]
@@ -183,7 +206,7 @@ enum LifeOp {
 }
 
 fn life_op_strategy() -> impl Strategy<Value = LifeOp> {
-    let addr = (1..4u64, 0..32u64).prop_map(|(p, s)| (p << 20) - 0x80 + s * 8);
+    let addr = (1..4u64, 0..32u64).prop_map(|(p, s)| wide_addr(p, s));
     prop_oneof![
         8 => ops_over(addr).prop_map(LifeOp::Op),
         1 => Just(LifeOp::Capture),
@@ -235,28 +258,13 @@ fn check_lifecycle(kind: StoreKind, ops: &[LifeOp]) {
     let mut originals: Vec<(Box<dyn PtrStore>, Image)> = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         match op {
-            LifeOp::Op(op) => {
-                match op {
-                    Op::Set { addr, word, prov } => {
-                        let _ = store.set(*addr, slot_of(*word, *prov));
-                    }
-                    Op::Get { addr } => {
-                        let got = store.get(*addr).0;
-                        assert_eq!(got, model.map.get(addr).copied(), "{kind:?} op {i}");
-                    }
-                    Op::Clear { addr } => {
-                        let _ = store.clear(*addr);
-                    }
-                    Op::ClearRange { start, len } => {
-                        let _ = store.clear_range(*start, *len);
-                    }
-                    Op::CopyRange { dst, src, len } => {
-                        let _ = store.copy_range(*dst, *src, *len);
-                    }
-                }
-                model.apply(op, slot_of);
-                assert_eq!(store.entry_count(), model.map.len(), "{kind:?} op {i}");
-            }
+            LifeOp::Op(op) => step(
+                &mut *store,
+                &mut model,
+                op,
+                slot_of,
+                &format!("{kind:?} op {i}"),
+            ),
             LifeOp::Capture => {
                 store.capture_snapshot();
                 captured = Some(Image::of(&*store, &model));

@@ -29,8 +29,7 @@ type Page = [u8; PAGE_SIZE as usize];
 
 /// Number of directly-indexed pages: the low 4 GB, where the whole
 /// regular region (code, globals, heap, stacks) lives. The direct table
-/// is 8 MB of virtual address space per machine, backed lazily by the
-/// host OS.
+/// grows with the highest page touched, up to 8 MB per machine.
 const DIRECT_PAGES: usize = ((1u64 << 32) / PAGE_SIZE) as usize;
 
 /// Size-specialized little-endian store into a page.
@@ -65,9 +64,6 @@ pub struct Memory {
     /// `protected` and `mapped` at capture time: runs can grow them
     /// (`malloc` maps a range per allocation).
     captured_ranges: Option<Box<Ranges>>,
-    /// True when `protect`/`map_zero` ran after capture — the range
-    /// sets must then be cloned back on restore.
-    ranges_dirty: bool,
 }
 
 impl Default for Memory {
@@ -84,16 +80,12 @@ impl Memory {
             protected: Vec::new(),
             mapped: Vec::new(),
             captured_ranges: None,
-            ranges_dirty: false,
         }
     }
 
     /// Marks `[start, start+len)` write-protected (returns nothing; the
     /// protection is enforced on every subsequent write).
     pub fn protect(&mut self, start: u64, len: u64) {
-        if self.pages.captured() {
-            self.ranges_dirty = true;
-        }
         self.protected.push((start, start.saturating_add(len)));
     }
 
@@ -103,9 +95,6 @@ impl Memory {
     /// per allocation, so lookups must not degrade to a linear scan
     /// over thousands of entries.
     pub fn map_zero(&mut self, start: u64, len: u64) {
-        if self.pages.captured() {
-            self.ranges_dirty = true;
-        }
         let end = start.saturating_add(len);
         let mut i = self.mapped.partition_point(|&(s, _)| s < start);
         self.mapped.insert(i, (start, end));
@@ -144,20 +133,7 @@ impl Memory {
     }
 
     fn is_mapped(&self, addr: u64) -> bool {
-        self.in_mapped_ranges(addr) || self.page(addr / PAGE_SIZE).is_some()
-    }
-
-    /// The resident page containing `page_idx`, if materialized.
-    #[inline(always)]
-    fn page(&self, page_idx: u64) -> Option<&Page> {
-        self.pages.get(page_idx)
-    }
-
-    /// Mutable access to the resident page containing `page_idx`, split
-    /// from the snapshot first if still shared with it.
-    #[inline(always)]
-    fn page_mut(&mut self, page_idx: u64) -> Option<&mut Page> {
-        self.pages.get_mut(page_idx)
+        self.in_mapped_ranges(addr) || self.pages.get(addr / PAGE_SIZE).is_some()
     }
 
     /// Materializes (or returns) the page containing `page_idx`, ready
@@ -173,7 +149,7 @@ impl Memory {
     pub fn read_u8(&self, addr: u64) -> Result<u8, MemError> {
         // Fast path: a resident page answers directly (a resident page
         // is mapped by definition).
-        if let Some(p) = self.page(addr / PAGE_SIZE) {
+        if let Some(p) = self.pages.get(addr / PAGE_SIZE) {
             return Ok(p[(addr % PAGE_SIZE) as usize]);
         }
         if self.in_mapped_ranges(addr) {
@@ -212,7 +188,7 @@ impl Memory {
         // one lookup instead of one per byte. (A resident page is
         // mapped for its full extent, so no per-byte check is needed.)
         if off + size <= PAGE_SIZE {
-            if let Some(p) = self.page(addr / PAGE_SIZE) {
+            if let Some(p) = self.pages.get(addr / PAGE_SIZE) {
                 let off = off as usize;
                 // Size-specialized little-endian reads: the dynamic
                 // byte loop defeats unrolling and this is the hottest
@@ -250,7 +226,7 @@ impl Memory {
         // loop, which reports the exact faulting byte with the same
         // error the seed semantics produced.
         if off + size <= PAGE_SIZE && !self.span_protected(addr, addr + size) {
-            if let Some(p) = self.page_mut(addr / PAGE_SIZE) {
+            if let Some(p) = self.pages.get_mut(addr / PAGE_SIZE) {
                 write_le(p, off as usize, val, size);
                 return Ok(());
             }
@@ -281,7 +257,7 @@ impl Memory {
             let addr = start + off;
             let page_off = addr % PAGE_SIZE;
             let chunk = (PAGE_SIZE - page_off).min(len - off);
-            if self.page(addr / PAGE_SIZE).is_none() && !self.span_mapped(addr, addr + chunk) {
+            if self.pages.get(addr / PAGE_SIZE).is_none() && !self.span_mapped(addr, addr + chunk) {
                 // Mixed chunk: find the exact faulting byte.
                 for i in 0..chunk {
                     if !self.in_mapped_ranges(addr + i) {
@@ -310,7 +286,7 @@ impl Memory {
             let page_off = addr % PAGE_SIZE;
             let chunk = (PAGE_SIZE - page_off).min(len - off) as usize;
             let out = &mut bytes[off as usize..off as usize + chunk];
-            if let Some(p) = self.page(addr / PAGE_SIZE) {
+            if let Some(p) = self.pages.get(addr / PAGE_SIZE) {
                 out.copy_from_slice(&p[page_off as usize..page_off as usize + chunk]);
             } else {
                 out.fill(0); // validated mapped-but-unmaterialized
@@ -349,7 +325,7 @@ impl Memory {
     fn chunk_cleanly_writable(&self, addr: u64, chunk: usize) -> bool {
         let chunk_end = addr + chunk as u64;
         !self.span_protected(addr, chunk_end)
-            && (self.span_mapped(addr, chunk_end) || self.page(addr / PAGE_SIZE).is_some())
+            && (self.span_mapped(addr, chunk_end) || self.pages.get(addr / PAGE_SIZE).is_some())
     }
 
     /// Page-chunked write of a byte slice with the same fault semantics
@@ -400,7 +376,6 @@ impl Memory {
     pub fn capture_snapshot(&mut self) {
         self.pages.capture();
         self.captured_ranges = Some(Box::new((self.protected.clone(), self.mapped.clone())));
-        self.ranges_dirty = false;
     }
 
     /// Reverts every page the last run dirtied back to the captured
@@ -418,11 +393,12 @@ impl Memory {
     /// baseline is a machine lifecycle bug, not a recoverable state.
     pub fn restore_snapshot(&mut self) -> (u64, u64) {
         let (pages_dirtied, reshared) = self.pages.restore();
-        if self.ranges_dirty {
-            let (protected, mapped) = &**self.captured_ranges.as_ref().expect("captured");
-            self.protected = protected.clone();
-            self.mapped = mapped.clone();
-            self.ranges_dirty = false;
+        let (protected, mapped) = &**self.captured_ranges.as_ref().expect("captured");
+        if self.protected != *protected {
+            self.protected.clone_from(protected);
+        }
+        if self.mapped != *mapped {
+            self.mapped.clone_from(mapped);
         }
         (pages_dirtied, reshared * PAGE_SIZE)
     }
