@@ -309,4 +309,11 @@ mod tests {
             assert_eq!(s.memory_bytes(), baseline_bytes);
         }
     }
+
+    #[test]
+    #[should_panic(expected = "no baseline captured")]
+    fn restore_without_capture_is_a_lifecycle_bug() {
+        let mut s = ArrayStore::new(BASE, 4096);
+        let _ = s.restore_snapshot();
+    }
 }

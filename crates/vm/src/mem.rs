@@ -658,4 +658,11 @@ mod tests {
         m.restore_snapshot();
         assert_eq!(m.snapshot_private_bytes(), 0);
     }
+
+    #[test]
+    #[should_panic(expected = "no baseline captured")]
+    fn restore_without_capture_is_a_lifecycle_bug() {
+        let mut m = Memory::new();
+        m.restore_snapshot();
+    }
 }
