@@ -100,7 +100,10 @@ fn profile_pass(
             .with_profile(true)
     });
     session.precompile();
-    let fuse = session.fuse_stats().expect("bytecode tier compiled");
+    let fuse = session
+        .machine()
+        .fuse_stats()
+        .expect("bytecode tier compiled");
     let run = session.run(b"");
     let label = format!("{}/{}", config.name(), spec.name);
     assert!(run.success(), "{label}: profiled run must exit cleanly");

@@ -78,7 +78,7 @@ fn main() -> Result<(), LeveeError> {
     for i in 0..probes {
         let guess =
             levee_vm::layout::SAFE_REGION_MIN + i * (levee_vm::layout::SAFE_REGION_WINDOW / probes);
-        match session.attacker_guess(guess) {
+        match session.machine().attacker_guess(guess) {
             GuessOutcome::Hit => hits += 1,
             GuessOutcome::Crash => crashes += 1,
             GuessOutcome::Miss => misses += 1,
@@ -88,7 +88,7 @@ fn main() -> Result<(), LeveeError> {
         json_rows.push(format!(
             "{{\"guessing\": {{\"probes\": {probes}, \"hits\": {hits}, \"crashes\": {crashes}, \
              \"misses\": {misses}, \"guess_space\": {}}}}}",
-            session.guess_space()
+            session.machine().guess_space()
         ));
         print_json_rows("isolation", &json_rows);
         return Ok(());
@@ -100,8 +100,8 @@ fn main() -> Result<(), LeveeError> {
     println!(
         "Guess space: {} equally likely bases → every probe is ~{:.2}% likely to hit,\n\
          and every miss crashes the process (detectable crash storm).",
-        session.guess_space(),
-        100.0 / session.guess_space() as f64
+        session.machine().guess_space(),
+        100.0 / session.machine().guess_space() as f64
     );
     if args.profile {
         let w = &spec_suite()[0];

@@ -66,18 +66,18 @@ fn measure_snapshot_footprint() -> Vec<SnapshotFootprint> {
                 .store(StoreKind::ArraySuperpage)
                 .build()
                 .unwrap_or_else(|e| panic!("{}: page builds: {e}", w.name));
-            let snapshot_pages = session.snapshot_pages();
+            let snapshot_pages = session.machine().snapshot_pages();
             assert!(snapshot_pages > 0, "{}: boot captures a snapshot", w.name);
             assert_eq!(
-                session.snapshot_private_bytes(),
+                session.machine().snapshot_private_bytes(),
                 0,
                 "{}: the fresh snapshot is fully shared with live memory",
                 w.name
             );
             session.run(b"");
-            let private_after_run = session.snapshot_private_bytes();
+            let private_after_run = session.machine().snapshot_private_bytes();
             session.reset();
-            let private_after_reset = session.snapshot_private_bytes();
+            let private_after_reset = session.machine().snapshot_private_bytes();
             assert_eq!(
                 private_after_reset, 0,
                 "{}: reset must re-share every dirtied page",

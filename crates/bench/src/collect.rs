@@ -70,7 +70,10 @@ pub fn profile_attribution() -> Vec<Row> {
                 .build()
                 .unwrap_or_else(|e| panic!("{label}: kernel builds: {e}"));
             session.precompile();
-            let fuse = session.fuse_stats().expect("bytecode tier compiled");
+            let fuse = session
+                .machine()
+                .fuse_stats()
+                .expect("bytecode tier compiled");
             let run = session.run(b"");
             assert!(run.success(), "{label}: kernel exits cleanly");
             let report = checked_profile(&label, &run, &fuse);

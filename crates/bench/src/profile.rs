@@ -137,12 +137,6 @@ pub fn render_profile(report: &ProfileReport, top: usize) -> String {
         ));
         out.push_str(&sites.render());
     }
-    if report.dropped_events > 0 {
-        out.push_str(&format!(
-            "\n(trace ring wrapped: {} events dropped)\n",
-            report.dropped_events
-        ));
-    }
     // Machine-recycling cost (host-side; never part of the cycle
     // attribution above). Only shown when a reset actually served this
     // run — first runs of a session have nothing to report.

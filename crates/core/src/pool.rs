@@ -77,12 +77,12 @@ impl SessionPool {
     /// already-built prototype session (configure the program and VM
     /// through [`Session::builder`]).
     ///
-    /// The prototype is precompiled (so every fork shares the one-time
-    /// bytecode-compilation cost), forked `workers - 1` times — each
-    /// fork holds a strong reference to the same `Arc`-shared build
-    /// and shares the boot snapshot's pages copy-on-write — and the
-    /// prototype itself becomes worker 0. `workers` is clamped to at
-    /// least 1.
+    /// The prototype is precompiled and forked `workers - 1` times —
+    /// each fork holds a strong reference to the same `Arc`-shared
+    /// build, shares the machine's load image (so all workers run the
+    /// one bytecode compile; see [`Session::fork`]) and shares the boot
+    /// snapshot's pages copy-on-write — and the prototype itself
+    /// becomes worker 0. `workers` is clamped to at least 1.
     pub fn with_prototype(mut prototype: Session, workers: usize) -> SessionPool {
         let n = workers.max(1);
         prototype.precompile();

@@ -32,11 +32,12 @@
 use std::fmt;
 use std::sync::Arc;
 
-use levee_ir::{Intrinsic, Module};
+use levee_ir::verify::{verify_module, VerifyError};
+use levee_ir::Module;
 use levee_minic::CompileError;
 use levee_vm::{
-    AttackerError, Engine, ExecStats, ExitStatus, GoalKind, GuessOutcome, Machine, ProfileReport,
-    ResetStats, StoreKind, TouchRecord, VmConfig,
+    AttackerError, Engine, ExecStats, ExitStatus, GoalKind, Machine, ProfileReport, ResetStats,
+    StoreKind, VmConfig,
 };
 
 use crate::driver::{build_source, BuildConfig, Built};
@@ -52,8 +53,8 @@ pub const DEFAULT_SEED: u64 = 0xBEEF;
 /// Everything that can go wrong while building or running a session.
 ///
 /// The embedding API never panics on malformed input: compile errors,
-/// builder misuse and required-success runs that trapped all surface
-/// here.
+/// malformed hand-built modules, builder misuse and required-success
+/// runs that trapped all surface here.
 #[derive(Debug)]
 pub enum LeveeError {
     /// The mini-C source failed to compile.
@@ -62,6 +63,14 @@ pub enum LeveeError {
         name: String,
         /// The frontend's error.
         error: CompileError,
+    },
+    /// A module given to [`SessionBuilder::module`] failed IR
+    /// verification.
+    Verify {
+        /// The program name given to the builder.
+        name: String,
+        /// Every verification failure.
+        errors: Vec<VerifyError>,
     },
     /// The builder was finished without a program (neither
     /// [`SessionBuilder::source`] nor [`SessionBuilder::module`]).
@@ -83,6 +92,13 @@ impl fmt::Display for LeveeError {
         match self {
             LeveeError::Compile { name, error } => {
                 write!(f, "{name}: compile error: {error}")
+            }
+            LeveeError::Verify { name, errors } => {
+                write!(f, "{name}: IR verification failed")?;
+                for e in errors {
+                    write!(f, "; {e}")?;
+                }
+                Ok(())
             }
             LeveeError::NoProgram => {
                 write!(
@@ -357,7 +373,9 @@ impl SessionBuilder {
     /// and the VM configuration is used exactly as given rather than
     /// derived — this is the escape hatch for baseline-defense
     /// deployments (`levee_defenses::Deployment::apply`) and hand-built
-    /// IR. Takes precedence over [`SessionBuilder::source`].
+    /// IR. The module is still verified: [`SessionBuilder::build`]
+    /// returns [`LeveeError::Verify`] for one that is malformed. Takes
+    /// precedence over [`SessionBuilder::source`].
     pub fn module(mut self, module: Module) -> Self {
         self.module = Some(module);
         self
@@ -440,12 +458,21 @@ impl SessionBuilder {
     }
 
     /// Compiles, protects and loads the program into a resident
-    /// machine. Malformed source returns [`LeveeError::Compile`];
-    /// a builder without a program returns [`LeveeError::NoProgram`].
+    /// machine. Malformed source returns [`LeveeError::Compile`], a
+    /// malformed verbatim module [`LeveeError::Verify`], and a builder
+    /// without a program [`LeveeError::NoProgram`].
     pub fn build(self) -> Result<Session, LeveeError> {
         let (built, mut cfg) = match (self.module, self.source) {
             (Some(module), _) => {
-                // Verbatim module: no passes, no config derivation.
+                // Verbatim module: no passes, no config derivation, but
+                // the VM and the bytecode compiler trust only verified IR.
+                let errors = verify_module(&module);
+                if !errors.is_empty() {
+                    return Err(LeveeError::Verify {
+                        name: self.name,
+                        errors,
+                    });
+                }
                 let built = Built {
                     module,
                     config: self.protection,
@@ -560,19 +587,15 @@ impl Session {
         unsafe { &*(module as *const Module) }
     }
 
-    /// The owned `Built` (live for the session's whole life, never
-    /// mutated — see the `SAFETY` notes on the struct).
-    fn built_ref(&self) -> &Built {
-        &self.built
-    }
-
     /// Forks this session for another worker: the build stays shared
     /// (one more strong reference to the same `Arc<Built>`), the
-    /// machine is forked with [`Machine::fork`] — copy-on-write
-    /// snapshot pages shared, all mutable state private — and compiled
-    /// bytecode carries over, so forks of a precompiled session never
-    /// recompile. The fork is fully independent: it can run on another
-    /// thread and never observes the original's writes.
+    /// machine is forked with [`Machine::fork`] — the load image and
+    /// copy-on-write snapshot pages shared, all mutable state private.
+    /// The image holds the bytecode, compiled once for the session and
+    /// all its forks: forking before the first compile is fine, since
+    /// whichever of them compiles first does it for all. The fork is
+    /// fully independent: it can run on another thread and never
+    /// observes the original's writes.
     pub fn fork(&self) -> Session {
         Session {
             machine: std::mem::ManuallyDrop::new(self.machine.fork()),
@@ -596,7 +619,7 @@ impl Session {
         let profile = self.machine.profile_report();
         RunReport {
             name: self.name.clone(),
-            config: self.built_ref().config,
+            config: self.built.config,
             engine: self.cfg.engine,
             store: self.cfg.store_kind,
             fusion: self.cfg.fusion,
@@ -604,7 +627,7 @@ impl Session {
             status: out.status,
             output: out.output,
             exec: out.stats,
-            build: self.built_ref().stats.clone(),
+            build: self.built.stats.clone(),
             profile,
             reset,
         }
@@ -693,12 +716,25 @@ impl Session {
     }
 
     /// Compiles (and fuses, if enabled) the bytecode ahead of the first
-    /// run, so one-time compilation stays out of timed windows.
+    /// run, so one-time compilation stays out of timed windows. The
+    /// compile is shared with every fork of this session.
     pub fn precompile(&mut self) {
         self.machine.precompile();
     }
 
-    // ---- introspection pass-throughs ----------------------------------
+    // ---- introspection ---------------------------------------------------
+
+    /// The resident machine, for read-only introspection: addresses
+    /// (`func_entry`, `global_addr`, `intrinsic_entry`,
+    /// `ret_site_addrs`), the layout, attacker probes, the memory touch
+    /// log, fusion and snapshot statistics.
+    pub fn machine(&self) -> &Machine<'_> {
+        // `Machine` is covariant in its module lifetime (pinned in
+        // levee-vm), so `&'s Machine<'static>` shortens to
+        // `&'s Machine<'s>`, which cannot outlive this session's
+        // strong reference to the `Built` it borrows.
+        &self.machine
+    }
 
     /// The program name.
     pub fn name(&self) -> &str {
@@ -707,12 +743,12 @@ impl Session {
 
     /// The built module and its statistics.
     pub fn built(&self) -> &Built {
-        self.built_ref()
+        &self.built
     }
 
     /// Compile-time statistics of the build.
     pub fn build_stats(&self) -> &BuildStats {
-        &self.built_ref().stats
+        &self.built.stats
     }
 
     /// The machine's effective configuration.
@@ -727,45 +763,10 @@ impl Session {
         self.machine.add_goal(addr, kind);
     }
 
-    /// Code entry address of the named function, if it exists.
-    pub fn func_entry(&self, name: &str) -> Option<u64> {
-        self.machine.func_entry(name)
-    }
-
-    /// Data address of the named global, if it exists.
-    pub fn global_addr(&self, name: &str) -> Option<u64> {
-        self.machine.global_addr(name)
-    }
-
-    /// Pseudo entry address of a libc intrinsic (ret2libc targets).
-    pub fn intrinsic_entry(&self, which: Intrinsic) -> u64 {
-        self.machine.intrinsic_entry(which)
-    }
-
-    /// Every valid return-site address, in layout order.
-    pub fn ret_site_addrs(&self) -> Vec<u64> {
-        self.machine.ret_site_addrs()
-    }
-
-    /// The machine's memory layout (region bases, stack tops).
-    pub fn layout(&self) -> levee_vm::layout::Layout {
-        self.machine.layout()
-    }
-
     /// Models one direct attacker write to an arbitrary address —
     /// the isolation-ablation probe (§3.2.3).
     pub fn attacker_write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), AttackerError> {
         self.machine.attacker_write(addr, bytes)
-    }
-
-    /// Models one attacker probe at the hidden safe region (§3.2.3).
-    pub fn attacker_guess(&self, addr: u64) -> GuessOutcome {
-        self.machine.attacker_guess(addr)
-    }
-
-    /// Number of equally likely safe-region bases under info-hiding.
-    pub fn guess_space(&self) -> u64 {
-        self.machine.guess_space()
     }
 
     /// Starts recording the memory touch log (see
@@ -774,18 +775,6 @@ impl Session {
     /// resets.
     pub fn enable_mem_trace(&mut self) {
         self.machine.enable_mem_trace();
-    }
-
-    /// The recorded memory touch log of the last run: tagged
-    /// read/write records in access order.
-    pub fn mem_trace(&self) -> &[TouchRecord] {
-        self.machine.mem_trace()
-    }
-
-    /// The touch log's address sequence alone, tags stripped — the
-    /// projection the cross-engine sequence-diff tests compare.
-    pub fn mem_trace_addrs(&self) -> Vec<u64> {
-        self.machine.mem_trace_addrs()
     }
 
     /// Turns on execution profiling for subsequent runs (see
@@ -797,33 +786,11 @@ impl Session {
         self.machine.enable_profile();
     }
 
-    /// Superinstruction-fusion statistics of the compiled bytecode, if
-    /// the bytecode tier has compiled it (after [`Session::precompile`]
-    /// or the first bytecode-engine run).
-    pub fn fuse_stats(&self) -> Option<levee_vm::FuseStats> {
-        self.machine.fuse_stats()
-    }
-
     /// What the most recent between-run [`Machine::reset`] cost
     /// (all-zero before the first reset). The same value rides on
     /// [`RunReport::reset`].
     pub fn last_reset_stats(&self) -> ResetStats {
         self.machine.last_reset_stats()
-    }
-
-    /// Pages held by the machine's post-load snapshot (0 under
-    /// `levee_vm::ResetMode::Loader`). Snapshot pages are shared
-    /// copy-on-write with the live image, so this is *not* extra
-    /// residency — see [`Session::snapshot_private_bytes`].
-    pub fn snapshot_pages(&self) -> usize {
-        self.machine.snapshot_pages()
-    }
-
-    /// Bytes the snapshot holds privately (pre-write copies of pages
-    /// the current run dirtied) — the snapshot's true incremental
-    /// memory footprint, reported by the `memory_overhead` bench.
-    pub fn snapshot_private_bytes(&self) -> u64 {
-        self.machine.snapshot_private_bytes()
     }
 }
 
@@ -848,6 +815,25 @@ mod tests {
         match Session::builder().build() {
             Err(LeveeError::NoProgram) => {}
             other => panic!("expected NoProgram, got {other:?}", other = other.err()),
+        }
+    }
+
+    /// A hand-built module whose `main` returns a register it never
+    /// defines fails at build time with a typed error instead of
+    /// panicking in the bytecode compiler on the first run.
+    #[test]
+    fn malformed_verbatim_module_is_a_typed_error_not_a_panic() {
+        use levee_ir::prelude::*;
+        let mut module = Module::new("hand");
+        let mut main = Function::new("main", FnSig::new(vec![], Ty::I32));
+        main.blocks[0].term = Terminator::Ret(Some(Operand::Value(ValueId(7))));
+        module.add_func(main);
+        match Session::builder().module(module).name("hand").build() {
+            Err(LeveeError::Verify { name, errors }) => {
+                assert_eq!(name, "hand");
+                assert!(errors.iter().any(|e| e.msg.contains("%7 out of range")));
+            }
+            other => panic!("expected Verify, got {other:?}", other = other.err()),
         }
     }
 
@@ -1054,6 +1040,42 @@ mod tests {
         assert_eq!(s.run(b"xyz").exec, serial.exec);
     }
 
+    /// A fork taken before the first compile shares it: the original
+    /// and the fork race to compile on two threads, and both serve the
+    /// same report from the same fusion plan.
+    #[test]
+    fn forks_share_the_first_compile_across_threads() {
+        let original = Session::builder()
+            .source(SRC)
+            .protection(BuildConfig::Cpi)
+            .build()
+            .expect("builds");
+        let fork = original.fork();
+        assert_eq!(
+            original.machine().fuse_stats(),
+            None,
+            "nothing compiled yet"
+        );
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let serve = |mut session: Session| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                let report = session.run(b"xyz");
+                (report, session)
+            })
+        };
+        let (a, b) = (serve(original), serve(fork));
+        let (a, original) = a.join().expect("original panicked");
+        let (b, fork) = b.join().expect("fork panicked");
+        assert_eq!(a.status, b.status);
+        assert_eq!(a.output, b.output);
+        assert_eq!(a.exec, b.exec);
+        let fused = original.machine().fuse_stats();
+        assert!(fused.is_some());
+        assert_eq!(fused, fork.machine().fuse_stats());
+    }
+
     /// Non-finite floats must surface as JSON `null`, not as the bare
     /// tokens `NaN`/`inf` — the contract every bench binary's `--json`
     /// row relies on for computed rates and overhead percentages.
@@ -1087,7 +1109,7 @@ mod tests {
             )
             .build()
             .expect("builds");
-        let system = s.intrinsic_entry(Intrinsic::System);
+        let system = s.machine().intrinsic_entry(levee_ir::Intrinsic::System);
         s.add_goal(system, GoalKind::Ret2Libc);
         // First run: benign input, no hijack.
         assert!(s.run(b"hi").success());

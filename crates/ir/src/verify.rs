@@ -87,16 +87,24 @@ fn verify_func(m: &Module, f: &Function, errs: &mut Vec<VerifyError>) {
     }
 
     for (bid, block) in f.iter_blocks() {
-        for inst in &block.insts {
-            for op in inst.operands() {
-                if let Operand::Value(v) = op {
-                    if v.0 >= nlocals {
-                        err(format!("bb{}: operand %{} out of range", bid.0, v.0));
-                    } else if !defined.contains(&v) {
-                        err(format!("bb{}: operand %{} never defined", bid.0, v.0));
-                    }
+        // Terminator operands are checked exactly like instruction
+        // operands: the engines read them the same way.
+        let term_operand = match &block.term {
+            Terminator::CondBr { cond, .. } => Some(*cond),
+            Terminator::Ret(v) => *v,
+            Terminator::Br(_) | Terminator::Unreachable => None,
+        };
+        let operands = block.insts.iter().flat_map(Inst::operands);
+        for op in operands.chain(term_operand) {
+            if let Operand::Value(v) = op {
+                if v.0 >= nlocals {
+                    err(format!("bb{}: operand %{} out of range", bid.0, v.0));
+                } else if !defined.contains(&v) {
+                    err(format!("bb{}: operand %{} never defined", bid.0, v.0));
                 }
             }
+        }
+        for inst in &block.insts {
             if let Some(d) = inst.dest() {
                 if d.0 >= nlocals {
                     err(format!("bb{}: dest %{} out of range", bid.0, d.0));
@@ -230,6 +238,35 @@ mod tests {
         m.add_func(f);
         let errs = verify_module(&m);
         assert!(errs.iter().any(|e| e.msg.contains("out of range")));
+    }
+
+    /// Terminator operands are range- and definedness-checked like
+    /// instruction operands: a `main` returning a register it never
+    /// defines must not reach the bytecode compiler.
+    #[test]
+    fn terminator_operands_are_checked() {
+        let mut m = Module::new("t");
+        let mut main = Function::new("main", FnSig::new(vec![], Ty::I32));
+        main.blocks[0].term = Terminator::Ret(Some(Operand::Value(ValueId(7))));
+        m.add_func(main);
+        let errs = verify_module(&m);
+        assert!(errs
+            .iter()
+            .any(|e| e.msg.contains("operand %7 out of range")));
+
+        let mut m = module_with_main();
+        let mut f = Function::new("bad", FnSig::new(vec![], Ty::Void));
+        let c = f.new_local(Ty::I64);
+        f.blocks[0].term = Terminator::CondBr {
+            cond: Operand::Value(c),
+            then_bb: BlockId(0),
+            else_bb: BlockId(0),
+        };
+        m.add_func(f);
+        let errs = verify_module(&m);
+        assert!(errs
+            .iter()
+            .any(|e| e.msg.contains("operand %0 never defined")));
     }
 
     #[test]

@@ -219,12 +219,16 @@ pub fn run_attack_with(
         cfg.aslr = false;
         cfg.seed = 0xA77AC4E4;
     });
-    let recon_system = session.intrinsic_entry(Intrinsic::System);
+    let recon_system = session.machine().intrinsic_entry(Intrinsic::System);
     let recon_rop = *session
+        .machine()
         .ret_site_addrs()
         .last()
         .expect("templates contain calls");
-    let recon_evil = session.func_entry("evil_cb").expect("preamble function");
+    let recon_evil = session
+        .machine()
+        .func_entry("evil_cb")
+        .expect("preamble function");
     let recon_out = session.run(b"");
     let (leak1, leak2) = parse_leaks(&recon_out.output);
     let recon = Recon {
@@ -239,9 +243,16 @@ pub fn run_attack_with(
     // detect success). The same session pivots to the victim's
     // configuration; the built module never recompiles. ---
     session.reconfigure(|cfg| *cfg = victim_cfg);
-    let dry_system = session.intrinsic_entry(Intrinsic::System);
-    let dry_rop = *session.ret_site_addrs().last().expect("calls exist");
-    let dry_evil = session.func_entry("evil_cb").expect("preamble function");
+    let dry_system = session.machine().intrinsic_entry(Intrinsic::System);
+    let dry_rop = *session
+        .machine()
+        .ret_site_addrs()
+        .last()
+        .expect("calls exist");
+    let dry_evil = session
+        .machine()
+        .func_entry("evil_cb")
+        .expect("preamble function");
     let dry_out = session.run(b"");
     let (dry_leak1, _) = parse_leaks(&dry_out.output);
 

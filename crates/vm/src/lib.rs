@@ -52,7 +52,6 @@ pub use levee_rt::StoreKind;
 pub use machine::{AttackerError, GuessOutcome, Machine, RunOutcome, PAC_PTR_MASK, V};
 pub use probe::{
     touch_addrs, CheckSiteProfile, FuncProfile, OpProfile, ProfileReport, TouchKind, TouchRecord,
-    TraceEvent, TraceEventKind,
 };
 pub use stats::{ExecStats, ResetStats};
 pub use trap::{CpiViolationKind, ExitStatus, GoalKind, Trap};

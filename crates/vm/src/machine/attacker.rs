@@ -101,7 +101,7 @@ impl<'m> Machine<'m> {
     /// overflow would. Returns the slot address, or `None` when the slot
     /// is on the safe stack (immune by construction).
     pub fn smash_return_address(&mut self, value: u64) -> Option<u64> {
-        let frame = self.frames.last()?;
+        let frame = self.run.frames.last()?;
         let slot = frame.ret_slot;
         if frame.desc.safestack {
             return None;
@@ -128,14 +128,14 @@ impl<'m> Machine<'m> {
     where
         F: FnOnce(&mut Machine<'m>),
     {
-        self.input = input.to_vec();
-        self.input_pos = 0;
-        let main = self.module.func_by_name("main").expect("main exists");
+        self.run.input = input.to_vec();
+        self.run.input_pos = 0;
+        let main = self.image.module.func_by_name("main").expect("main exists");
         if let Err(trap) = self.enter_main(main) {
             return super::RunOutcome {
                 status: crate::trap::ExitStatus::Trapped(trap),
-                stats: self.stats,
-                output: self.output.join("\n"),
+                stats: self.run.stats,
+                output: self.run.output.join("\n"),
             };
         }
         let mut status = None;
@@ -171,8 +171,8 @@ impl<'m> Machine<'m> {
         self.finalize_stats();
         super::RunOutcome {
             status,
-            stats: self.stats,
-            output: self.output.join("\n"),
+            stats: self.run.stats,
+            output: self.run.output.join("\n"),
         }
     }
 }

@@ -39,14 +39,15 @@
 //!   at every exit. Handlers charge `stats` directly, so totals at
 //!   every observation point equal the walker's.
 
+use std::sync::Arc;
+
 use levee_bc::{BcModule, Op, OPERAND_CONST_BIT};
 use levee_ir::prelude::*;
 
-use crate::probe::CheckSite;
 use crate::trap::{ExitStatus, Trap};
 
 use super::ops::{cast, cmp, Callee};
-use super::{exit_status, Machine, V};
+use super::{exit_status, CheckSite, Machine, V};
 
 /// Reads an operand word: a register slot or a constant-pool index.
 ///
@@ -78,34 +79,21 @@ impl<'m> Machine<'m> {
     /// Compiles the module to bytecode — applying the superinstruction
     /// fusion pass when `VmConfig::fusion` is on — ahead of the first
     /// run. Runs lazily otherwise; benches call this explicitly to keep
-    /// one-time compilation out of timed regions. Recompilation is
-    /// never needed because module and config are immutable for the
-    /// machine's lifetime. A no-op under [`crate::Engine::Walk`].
+    /// one-time compilation out of timed regions. The bytecode lives in
+    /// the shared image, so it is compiled once for this machine and
+    /// every fork of it. A no-op under [`crate::Engine::Walk`].
     pub fn precompile(&mut self) {
-        if self.config.engine == crate::Engine::Bytecode && self.bc.is_none() {
-            let mut bc = levee_bc::compile(self.module);
-            let fuse_stats = if self.config.fusion {
-                levee_bc::fuse(&mut bc)
-            } else {
-                levee_bc::FuseStats::default()
-            };
-            self.fuse_stats = Some(fuse_stats);
-            self.bc = Some(bc);
+        if self.config.engine == crate::Engine::Bytecode {
+            self.image.compiled();
         }
     }
 
     /// Runs the bytecode engine to completion, compiling on first use.
     pub(crate) fn run_bytecode(&mut self) -> ExitStatus {
-        self.precompile();
-        // Take ownership for the duration of the loop so the code
-        // stream can be borrowed while `&mut self` methods run.
-        let bc = self.bc.take().expect("just compiled");
-        if let Some(p) = self.probe.as_deref_mut() {
-            p.attach_bc(&bc);
-        }
-        let status = self.dispatch_loop(&bc);
-        self.bc = Some(bc);
-        status
+        // A handle of its own, so the code stream can be borrowed while
+        // `&mut self` methods run.
+        let image = Arc::clone(&self.image);
+        self.dispatch_loop(&image.compiled().bc)
     }
 
     fn dispatch_loop(&mut self, bc: &BcModule) -> ExitStatus {
@@ -116,14 +104,14 @@ impl<'m> Machine<'m> {
         let mut regs: Vec<V> = std::mem::take(&mut self.frame_mut().regs);
         let cost_inst = self.config.cost.inst;
         let max_insts = self.config.max_insts;
-        let mut insts_l = self.stats.insts;
+        let mut insts_l = self.run.stats.insts;
         let mut cycles_l: u64 = 0;
 
         // Re-caches function state after any control transfer that may
         // have switched frames (call, return, longjmp).
         macro_rules! reload {
             () => {{
-                let frame = self.frames.last_mut().expect("active frame");
+                let frame = self.run.frames.last_mut().expect("active frame");
                 fidx = frame.func.0 as usize;
                 pc = frame.ip;
                 regs = std::mem::take(&mut frame.regs);
@@ -135,7 +123,7 @@ impl<'m> Machine<'m> {
         // operation that may read or write frames.
         macro_rules! sync_frame {
             () => {{
-                let frame = self.frames.last_mut().expect("active frame");
+                let frame = self.run.frames.last_mut().expect("active frame");
                 frame.ip = pc;
                 frame.regs = regs;
             }};
@@ -178,8 +166,8 @@ impl<'m> Machine<'m> {
         // see that only some expansions exit.)
         macro_rules! flush {
             () => {{
-                self.stats.insts = insts_l;
-                self.stats.cycles += cycles_l;
+                self.run.stats.insts = insts_l;
+                self.run.stats.cycles += cycles_l;
                 #[allow(unused_assignments)]
                 {
                     cycles_l = 0;
@@ -231,7 +219,7 @@ impl<'m> Machine<'m> {
             ($callee:expr, dest: $d:expr, site: $s:expr, nargs: $n:expr) => {{
                 let callee = $callee;
                 let (dest, nargs) = (dest_reg(w!($d)), w!($n) as usize);
-                let ret_addr = self.ret_site(fidx as u32, w!($s));
+                let ret_addr = self.image.ret_site(fidx as u32, w!($s));
                 let args = pc + $n + 1;
                 pc = args + nargs;
                 sync_frame!();
@@ -269,7 +257,7 @@ impl<'m> Machine<'m> {
             // the fuel check is semantically inert (the word is
             // re-matched below either way).
             if self.probe.is_some() {
-                let now = self.stats.cycles + cycles_l;
+                let now = self.run.stats.cycles + cycles_l;
                 if let Some(p) = self.probe.as_deref_mut() {
                     p.dispatch(op as usize, now);
                 }

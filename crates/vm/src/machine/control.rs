@@ -31,7 +31,7 @@ pub(crate) enum TransferKind {
 impl<'m> Machine<'m> {
     /// Pushes `main`'s frame, returning to the exit sentinel.
     pub(crate) fn enter_main(&mut self, main: FuncId) -> Result<(), Trap> {
-        let desc = self.frame_descs[main.0 as usize];
+        let desc = self.image.frame_descs[main.0 as usize];
         assert_eq!(desc.n_params, 0, "main takes no arguments");
         self.op_call(Callee::Direct(main), MAIN_RET_SENTINEL, None, 0, |_, _| {})
     }
@@ -51,30 +51,30 @@ impl<'m> Machine<'m> {
         ret_addr: u64,
     ) -> Result<(), Trap> {
         debug_assert_eq!(regs.len(), desc.n_regs as usize);
-        self.stats.calls += 1;
-        self.stats.cycles += self.config.cost.call;
-        if self.frames.len() > 4096 {
+        self.run.stats.calls += 1;
+        self.run.stats.cycles += self.config.cost.call;
+        if self.run.frames.len() > 4096 {
             return Err(Trap::StackOverflow);
         }
 
-        let saved_sp = self.sp;
-        let saved_unsafe_sp = self.unsafe_sp;
-        let saved_safe_sp = self.safe_sp;
+        let saved_sp = self.run.sp;
+        let saved_unsafe_sp = self.run.unsafe_sp;
+        let saved_safe_sp = self.run.safe_sp;
 
         // Push the return address. With the safe stack it lives in the
         // safe region; otherwise on the conventional stack in regular
         // memory, where overflows can reach it.
         let ret_slot = if desc.safestack {
-            self.safe_sp -= 8;
-            let slot = self.safe_sp;
+            self.run.safe_sp -= 8;
+            let slot = self.run.safe_sp;
             self.charge_mem(slot, false, TouchKind::Write, 8);
             self.mem
                 .write_uint(slot, ret_addr, 8)
                 .map_err(|_| Trap::StackOverflow)?;
             slot
         } else {
-            self.sp -= 8;
-            let slot = self.sp;
+            self.run.sp -= 8;
+            let slot = self.run.sp;
             self.check_stack_space()?;
             // Under PAC the prologue signs the return address before
             // spilling it (the `paciasp` idiom): the attackable stack
@@ -96,11 +96,11 @@ impl<'m> Machine<'m> {
 
         // Stack cookie sits between the return address and the locals.
         let cookie_slot = if desc.cookie {
-            self.sp -= 8;
-            let slot = self.sp;
+            self.run.sp -= 8;
+            let slot = self.run.sp;
             self.charge_mem(slot, true, TouchKind::Write, 8);
             self.mem
-                .write_uint(slot, self.cookie, 8)
+                .write_uint(slot, self.image.cookie, 8)
                 .map_err(|_| Trap::StackOverflow)?;
             slot
         } else {
@@ -108,17 +108,17 @@ impl<'m> Machine<'m> {
         };
 
         if desc.shadow_stack {
-            self.shadow_stack.push(ret_addr);
-            self.stats.cycles += self.config.cost.mem_hit; // shadow push
+            self.run.shadow_stack.push(ret_addr);
+            self.run.stats.cycles += self.config.cost.mem_hit; // shadow push
         }
 
         // Functions that need an unsafe stack frame pay its setup cost.
         if desc.unsafe_frame {
-            self.stats.cycles += self.config.cost.unsafe_frame;
-            self.stats.unsafe_frames += 1;
+            self.run.stats.cycles += self.config.cost.unsafe_frame;
+            self.run.stats.unsafe_frames += 1;
         }
 
-        self.frames.push(Frame {
+        self.run.frames.push(Frame {
             func,
             block: BlockId(0),
             ip: 0,
@@ -142,8 +142,8 @@ impl<'m> Machine<'m> {
     /// The epilogue is driven entirely by the frame's descriptor — no
     /// IR lookups on the return path.
     pub(crate) fn do_return(&mut self, value: Option<V>) -> Result<Option<ExitStatus>, Trap> {
-        self.stats.cycles += self.config.cost.ret;
-        let frame = self.frames.last().expect("frame");
+        self.run.stats.cycles += self.config.cost.ret;
+        let frame = self.run.frames.last().expect("frame");
         let (desc, cookie_slot, slot, expected) = (
             frame.desc,
             frame.cookie_slot,
@@ -159,7 +159,7 @@ impl<'m> Machine<'m> {
                 .mem
                 .read_uint(cookie_slot, 8)
                 .map_err(|_| Trap::Cookie)?;
-            if got != self.cookie {
+            if got != self.image.cookie {
                 return Err(Trap::Cookie);
             }
         }
@@ -186,7 +186,7 @@ impl<'m> Machine<'m> {
         // 3. Shadow-stack comparison.
         if desc.shadow_stack {
             self.charge_check();
-            let top = self.shadow_stack.pop().unwrap_or(0);
+            let top = self.run.shadow_stack.pop().unwrap_or(0);
             if top != loaded {
                 return Err(Trap::ShadowStack {
                     expected: top,
@@ -198,7 +198,7 @@ impl<'m> Machine<'m> {
         // 4. Coarse CFI return policy: target must be *some* return site.
         if desc.ret_cfi {
             self.charge_check();
-            if loaded != MAIN_RET_SENTINEL && !self.ret_sites.contains_key(&loaded) {
+            if loaded != MAIN_RET_SENTINEL && !self.image.ret_sites.contains_key(&loaded) {
                 return Err(Trap::Cfi { addr: loaded });
             }
         }
@@ -229,15 +229,17 @@ impl<'m> Machine<'m> {
         // exiting callee. Covers returns, longjmp unwinds and the clean
         // exit from `main` alike.
         self.probe_exit();
-        let frame = self.frames.pop().expect("frame");
+        let frame = self.run.frames.pop().expect("frame");
         self.recycle_vec(frame.regs);
-        self.sp = frame.saved_sp;
-        self.unsafe_sp = frame.saved_unsafe_sp;
-        self.safe_sp = frame.saved_safe_sp;
+        self.run.sp = frame.saved_sp;
+        self.run.unsafe_sp = frame.saved_unsafe_sp;
+        self.run.safe_sp = frame.saved_safe_sp;
         // Invalidate setjmp contexts belonging to the popped frame.
-        if !self.setjmp_ctxs.is_empty() {
-            let depth = self.frames.len();
-            self.setjmp_ctxs.retain(|_, ctx| ctx.frame_depth <= depth);
+        if !self.run.setjmp_ctxs.is_empty() {
+            let depth = self.run.frames.len();
+            self.run
+                .setjmp_ctxs
+                .retain(|_, ctx| ctx.frame_depth <= depth);
         }
     }
 
@@ -287,7 +289,7 @@ impl<'m> Machine<'m> {
             return Err(Trap::Hijacked { goal: *goal, addr });
         }
         match kind {
-            TransferKind::Call => match self.entry_to_func.get(&addr) {
+            TransferKind::Call => match self.image.entry_to_func.get(&addr) {
                 Some(f) => Ok(ResolvedTarget::Function(*f)),
                 None => Err(Trap::BadControl { addr }),
             },
@@ -328,7 +330,7 @@ impl<'m> Machine<'m> {
                 // Signature mismatch at runtime is a crash in practice
                 // (wrong arity smashes the register file); we surface it
                 // as BadControl unless arities happen to agree.
-                if self.frame_descs[f.0 as usize].n_params as usize != nargs {
+                if self.image.frame_descs[f.0 as usize].n_params as usize != nargs {
                     return Err(Trap::BadControl { addr: target });
                 }
                 Ok(f)
@@ -340,15 +342,15 @@ impl<'m> Machine<'m> {
     /// Does `policy` admit `target` for an indirect call of signature
     /// `sig`? (The static valid-target sets of §6's CFI row.)
     pub(crate) fn cfi_allows(&self, policy: CfiPolicy, target: u64, sig: &FnSig) -> bool {
-        let Some(fid) = self.entry_to_func.get(&target) else {
+        let Some(fid) = self.image.entry_to_func.get(&target) else {
             return false;
         };
-        let f = self.module.func(*fid);
+        let f = self.image.module.func(*fid);
         match policy {
             CfiPolicy::AnyFunction => true,
             CfiPolicy::AddressTaken => f.address_taken,
             CfiPolicy::TypeSignature => {
-                f.address_taken && self.sig_hashes[fid.0 as usize] == sig.type_hash()
+                f.address_taken && self.image.sig_hashes[fid.0 as usize] == sig.type_hash()
             }
         }
     }
@@ -362,23 +364,23 @@ impl<'m> Machine<'m> {
     /// safe pointer store (§4: jmp_buf is sensitive), otherwise it sits
     /// in regular memory where attacks can overwrite it.
     pub(crate) fn do_setjmp(&mut self, buf: V, dest: Option<ValueId>) -> Result<(), Trap> {
-        let frame = self.frames.last().expect("frame");
+        let frame = self.run.frames.last().expect("frame");
         let token = {
             // A unique token per dynamic setjmp: a code-segment address
             // derived from the site, outside function entries.
-            let base = self.func_addrs[frame.func.0 as usize];
-            base + 0x800 + (self.setjmp_ctxs.len() as u64 % 64) * 8
+            let base = self.image.func_addrs[frame.func.0 as usize];
+            base + 0x800 + (self.run.setjmp_ctxs.len() as u64 % 64) * 8
         };
         let ctx = SetjmpCtx {
-            frame_depth: self.frames.len(),
+            frame_depth: self.run.frames.len(),
             block: frame.block,
             ip: frame.ip, // ip already advanced past the setjmp call
             dest,
-            saved_sp: self.sp,
-            saved_unsafe_sp: self.unsafe_sp,
-            saved_safe_sp: self.safe_sp,
+            saved_sp: self.run.sp,
+            saved_unsafe_sp: self.run.unsafe_sp,
+            saved_safe_sp: self.run.safe_sp,
         };
-        self.setjmp_ctxs.insert(token, ctx);
+        self.run.setjmp_ctxs.insert(token, ctx);
         // jmp_buf image: [token][sp][unsafe_sp] — 24 bytes.
         if self.config.protect_runtime_code_ptrs {
             // The slot carries the interned code provenance of the
@@ -398,8 +400,8 @@ impl<'m> Machine<'m> {
             };
             self.prog_write(buf.raw, word, 8, MemSpace::Regular)?;
         }
-        self.prog_write(buf.raw + 8, self.sp, 8, MemSpace::Regular)?;
-        self.prog_write(buf.raw + 16, self.unsafe_sp, 8, MemSpace::Regular)?;
+        self.prog_write(buf.raw + 8, self.run.sp, 8, MemSpace::Regular)?;
+        self.prog_write(buf.raw + 16, self.run.unsafe_sp, 8, MemSpace::Regular)?;
         if let Some(d) = dest {
             self.set_reg(d, V::int(0));
         }
@@ -438,7 +440,7 @@ impl<'m> Machine<'m> {
                 word
             }
         };
-        let ctx = match self.setjmp_ctxs.get(&token) {
+        let ctx = match self.run.setjmp_ctxs.get(&token) {
             Some(c) => *c,
             None => {
                 // The token is attacker-controlled data here: resolve it
@@ -449,17 +451,17 @@ impl<'m> Machine<'m> {
                 };
             }
         };
-        if ctx.frame_depth > self.frames.len() {
+        if ctx.frame_depth > self.run.frames.len() {
             return Err(Trap::BadControl { addr: token });
         }
         // Unwind.
-        while self.frames.len() > ctx.frame_depth {
+        while self.run.frames.len() > ctx.frame_depth {
             self.pop_frame();
         }
-        self.sp = ctx.saved_sp;
-        self.unsafe_sp = ctx.saved_unsafe_sp;
-        self.safe_sp = ctx.saved_safe_sp;
-        let frame = self.frames.last_mut().expect("setjmp frame");
+        self.run.sp = ctx.saved_sp;
+        self.run.unsafe_sp = ctx.saved_unsafe_sp;
+        self.run.safe_sp = ctx.saved_safe_sp;
+        let frame = self.run.frames.last_mut().expect("setjmp frame");
         frame.block = ctx.block;
         frame.ip = ctx.ip;
         if let Some(d) = ctx.dest {
@@ -470,10 +472,10 @@ impl<'m> Machine<'m> {
     }
 
     pub(crate) fn check_stack_space(&self) -> Result<(), Trap> {
-        if self.sp < self.layout.stack_top - layout::STACK_LIMIT + 4096 {
+        if self.run.sp < self.layout.stack_top - layout::STACK_LIMIT + 4096 {
             return Err(Trap::StackOverflow);
         }
-        if self.unsafe_sp < self.layout.unsafe_stack_top - layout::UNSAFE_STACK_LIMIT + 4096 {
+        if self.run.unsafe_sp < self.layout.unsafe_stack_top - layout::UNSAFE_STACK_LIMIT + 4096 {
             return Err(Trap::StackOverflow);
         }
         Ok(())

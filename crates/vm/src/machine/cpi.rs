@@ -5,10 +5,10 @@
 use levee_ir::prelude::*;
 use levee_rt::Slot;
 
-use crate::probe::{CheckSite, TouchKind};
+use crate::probe::TouchKind;
 use crate::trap::{CpiViolationKind, Trap};
 
-use super::{Machine, V};
+use super::{CheckSite, Machine, V};
 
 impl<'m> Machine<'m> {
     /// Maps a violation to the policy's trap flavour.
@@ -77,7 +77,7 @@ impl<'m> Machine<'m> {
         v: V,
         universal: bool,
     ) -> Result<(), Trap> {
-        self.stats.cpi_mem_ops += 1;
+        self.run.stats.cpi_mem_ops += 1;
         // Resolve the handle once to classify the value; the slot still
         // stores the handle, not the resolved record.
         let prov = self.meta.get(v.meta);
@@ -100,8 +100,8 @@ impl<'m> Machine<'m> {
             Some(s) => {
                 let t = self.store.set(addr, s);
                 self.charge_store_touches(t, TouchKind::Write);
-                self.probe_store_op(addr, false);
-                self.stats.store_entries_peak = self
+                self.run.stats.store_entries_peak = self
+                    .run
                     .stats
                     .store_entries_peak
                     .max(self.store.entry_count() as u64);
@@ -118,7 +118,6 @@ impl<'m> Machine<'m> {
                 // paper's dual-storage rule).
                 let t = self.store.clear(addr);
                 self.charge_store_touches(t, TouchKind::Write);
-                self.probe_store_op(addr, false);
                 self.prog_write(addr, v.raw, 8, MemSpace::Regular)
             }
         }
@@ -129,10 +128,9 @@ impl<'m> Machine<'m> {
     /// goes straight into the register value — no re-interning on the
     /// hot path.
     pub(crate) fn op_ptr_load(&mut self, policy: Policy, addr: u64) -> Result<V, Trap> {
-        self.stats.cpi_mem_ops += 1;
+        self.run.stats.cpi_mem_ops += 1;
         let (slot, t) = self.store.get(addr);
         self.charge_store_touches(t, TouchKind::Read);
-        self.probe_store_op(addr, true);
         match slot {
             Some(s) => {
                 if self.config.debug_dual_store {
@@ -166,7 +164,7 @@ impl<'m> Machine<'m> {
         self.bulk_copy(dst, src, len)?;
         let (copied, t) = self.store.copy_range(dst, src, len);
         self.charge_store_touches(t, TouchKind::Write);
-        self.stats.cycles += (len / 8) * self.config.cost.store_op + copied;
+        self.run.stats.cycles += (len / 8) * self.config.cost.store_op + copied;
         Ok(())
     }
 
@@ -176,7 +174,7 @@ impl<'m> Machine<'m> {
         self.bulk_fill(dst, byte, len)?;
         let t = self.store.clear_range(dst, len);
         self.charge_store_touches(t, TouchKind::Write);
-        self.stats.cycles += (len / 8) * self.config.cost.store_op;
+        self.run.stats.cycles += (len / 8) * self.config.cost.store_op;
         Ok(())
     }
 
@@ -228,7 +226,7 @@ impl<'m> Machine<'m> {
                 self.charge_mem(b + i * 64, true, TouchKind::Read, 8);
             }
         }
-        self.stats.cycles += len / 8;
-        self.stats.mem_ops += len / 8;
+        self.run.stats.cycles += len / 8;
+        self.run.stats.mem_ops += len / 8;
     }
 }

@@ -9,11 +9,10 @@
 use levee_bc::Op;
 use levee_ir::prelude::*;
 
-use crate::probe::CheckSite;
 use crate::trap::{ExitStatus, Trap};
 
 use super::ops::{cast, cmp, Callee};
-use super::{Machine, V};
+use super::{CheckSite, Machine, V};
 
 impl<'m> Machine<'m> {
     /// Executes one instruction or terminator. Returns `Some(exit)` when
@@ -23,18 +22,18 @@ impl<'m> Machine<'m> {
         // the previous op's cycle window, open this one's. Observation
         // only — no charge depends on it.
         if self.probe.is_some() {
-            let (op, now) = (self.current_op_index(), self.stats.cycles);
+            let (op, now) = (self.current_op_index(), self.run.stats.cycles);
             if let Some(p) = self.probe.as_deref_mut() {
                 p.dispatch(op, now);
             }
         }
-        self.stats.insts += 1;
-        self.stats.cycles += self.config.cost.inst;
-        if self.stats.insts > self.config.max_insts {
+        self.run.stats.insts += 1;
+        self.run.stats.cycles += self.config.cost.inst;
+        if self.run.stats.insts > self.config.max_insts {
             return Err(Trap::OutOfFuel);
         }
 
-        let module = self.module;
+        let module = self.image.module;
         let frame = self.frame();
         let func = module.func(frame.func);
         let block = func.block(frame.block);
@@ -54,7 +53,7 @@ impl<'m> Machine<'m> {
     /// executes fused superinstructions, so those slots stay zero.
     fn current_op_index(&self) -> usize {
         let frame = self.frame();
-        let block = self.module.func(frame.func).block(frame.block);
+        let block = self.image.module.func(frame.func).block(frame.block);
         let op = if frame.ip >= block.insts.len() {
             match &block.term {
                 Terminator::Br(_) => Op::Jump,
@@ -118,7 +117,7 @@ impl<'m> Machine<'m> {
     }
 
     fn exec_inst(&mut self, inst: &Inst) -> Result<(), Trap> {
-        let module = self.module;
+        let module = self.image.module;
         let types = &module.types;
         let (dest, v) = match inst {
             Inst::Alloca {
@@ -251,8 +250,8 @@ impl<'m> Machine<'m> {
     /// advanced past it).
     fn call_ret_addr(&self) -> u64 {
         let f = self.frame();
-        let site = self.site_of_call[&(f.func.0, f.block.0, f.ip - 1)];
-        self.ret_site(f.func.0, site)
+        let site = self.image.site_of_call[&(f.func.0, f.block.0, f.ip - 1)];
+        self.image.ret_site(f.func.0, site)
     }
 
     /// The in-flight check's site, in walker coordinates.

@@ -56,7 +56,7 @@ impl<'m> Machine<'m> {
                         break;
                     }
                 }
-                self.stats.cycles += n / 4;
+                self.run.stats.cycles += n / 4;
                 Some(V::int(r as u64))
             }
             Intrinsic::Strcpy => {
@@ -95,7 +95,7 @@ impl<'m> Machine<'m> {
             }
             Intrinsic::Strlen => {
                 let s = self.read_cstr(args[0].raw)?;
-                self.stats.cycles += s.len() as u64 / 4;
+                self.run.stats.cycles += s.len() as u64 / 4;
                 Some(V::int(s.len() as u64))
             }
             Intrinsic::Strcmp => {
@@ -110,12 +110,14 @@ impl<'m> Machine<'m> {
             }
             Intrinsic::PrintInt => {
                 let v = args[0].raw as i64;
-                self.output.push(v.to_string());
+                self.run.output.push(v.to_string());
                 None
             }
             Intrinsic::PrintStr => {
                 let s = self.read_cstr(args[0].raw)?;
-                self.output.push(String::from_utf8_lossy(&s).into_owned());
+                self.run
+                    .output
+                    .push(String::from_utf8_lossy(&s).into_owned());
                 None
             }
             Intrinsic::ReadInput => {
@@ -123,18 +125,19 @@ impl<'m> Machine<'m> {
                 // (gets-style) — THE classic vulnerability.
                 let buf = args[0].raw;
                 let maxlen = args[1].raw as i64;
-                let remaining = self.input.len() - self.input_pos;
+                let remaining = self.run.input.len() - self.run.input_pos;
                 let n = if maxlen < 0 {
                     remaining
                 } else {
                     remaining.min(maxlen as usize)
                 };
-                let bytes: Vec<u8> = self.input[self.input_pos..self.input_pos + n].to_vec();
-                self.input_pos += n;
+                let bytes: Vec<u8> =
+                    self.run.input[self.run.input_pos..self.run.input_pos + n].to_vec();
+                self.run.input_pos += n;
                 self.write_bytes(buf, &bytes)?;
                 Some(V::int(n as u64))
             }
-            Intrinsic::InputLen => Some(V::int((self.input.len() - self.input_pos) as u64)),
+            Intrinsic::InputLen => Some(V::int((self.run.input.len() - self.run.input_pos) as u64)),
             Intrinsic::Setjmp => {
                 self.do_setjmp(args[0], dest)?;
                 return Ok(()); // dest already written
@@ -168,14 +171,14 @@ impl<'m> Machine<'m> {
     pub(crate) fn read_byte(&mut self, addr: u64) -> Result<u8, Trap> {
         self.isolation_check(addr, MemSpace::Regular)?;
         self.charge_mem(addr, true, TouchKind::Read, 1);
-        self.stats.mem_ops += 1;
+        self.run.stats.mem_ops += 1;
         self.mem.read_u8(addr).map_err(Self::mem_trap)
     }
 
     pub(crate) fn write_byte(&mut self, addr: u64, b: u8) -> Result<(), Trap> {
         self.isolation_check(addr, MemSpace::Regular)?;
         self.charge_mem(addr, true, TouchKind::Write, 1);
-        self.stats.mem_ops += 1;
+        self.run.stats.mem_ops += 1;
         self.mem.write_u8(addr, b).map_err(Self::mem_trap)
     }
 

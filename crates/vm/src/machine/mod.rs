@@ -12,33 +12,55 @@
 //!   numbers for the evaluation harness,
 //! * attack goals: addresses that terminate the run with
 //!   [`Trap::Hijacked`] when control reaches them.
+//!
+//! A [`Machine`] has three parts, each with one owner:
+//!
+//! * the load image (`image.rs`): what the loader derives from the
+//!   module and the configuration — function, return-site, intrinsic
+//!   and global addresses, frame descriptors, signature hashes, the
+//!   check-site numbering, the cookie, the PAC key and the lazily
+//!   compiled bytecode. It never changes after [`Machine::new`], so
+//!   forks, snapshot restores and loader resets share it behind an
+//!   `Arc`;
+//! * the copy-on-write components — [`Memory`], [`Heap`], the safe
+//!   pointer store, the provenance [`MetaTable`] and the [`Cache`] —
+//!   each with its own capture and restore;
+//! * the run state: everything a run moves, re-armed in place by one
+//!   function at boot and at every snapshot restore, and cloned whole
+//!   by [`Machine::fork`].
+//!
+//! The configuration, the layout (a copy of the image's: the isolation
+//! check reads it on every access), the loader-minted provenance
+//! handles, the attack goals, the profiler and the register-file pool
+//! are the machine's own.
 
 mod attacker;
 mod bytecode;
 mod control;
 mod cpi;
 mod exec;
+mod image;
 mod intrinsics;
 mod ops;
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use levee_bc::FrameDesc;
 use levee_ir::prelude::*;
 use levee_rt::{Entry, FastHash, MetaId, MetaMark, MetaTable, PtrStore};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::cache::Cache;
 use crate::config::{Engine, Isolation, PacMode, ResetMode, VmConfig};
 use crate::heap::Heap;
 use crate::layout::{self, Layout};
 use crate::mem::{MemError, Memory};
-use crate::probe::{touch_addrs, CheckSite, ProfileReport, Profiler, TouchKind, TouchRecord};
+use crate::probe::{touch_addrs, ProfileReport, Profiler, TouchKind, TouchRecord};
 use crate::stats::{ExecStats, ResetStats};
 use crate::trap::{ExitStatus, GoalKind, Trap};
 
 pub use attacker::{AttackerError, GuessOutcome};
+pub(crate) use image::{CheckSite, Image};
 
 /// A runtime value: a 64-bit word plus an interned based-on handle.
 ///
@@ -114,6 +136,7 @@ pub(crate) fn pac_mix(mut x: u64) -> u64 {
 /// size, cookie/return-slot layout, epilogue checks), which the frame
 /// carries so the return path never re-derives protection state from
 /// the IR.
+#[derive(Clone)]
 pub(crate) struct Frame {
     pub func: FuncId,
     pub block: BlockId,
@@ -170,79 +193,29 @@ impl RunOutcome {
     }
 }
 
-/// The virtual machine.
+/// The virtual machine: a load image, copy-on-write components and a
+/// run state (see the module docs).
 pub struct Machine<'m> {
-    pub(crate) module: &'m Module,
+    pub(crate) image: Arc<Image<'m>>,
     pub(crate) config: VmConfig,
     pub(crate) layout: Layout,
     pub(crate) mem: Memory,
     pub(crate) cache: Cache,
     pub(crate) heap: Heap,
     pub(crate) store: Box<dyn PtrStore>,
-    pub(crate) stats: ExecStats,
-    pub(crate) frames: Vec<Frame>,
-    pub(crate) sp: u64,
-    pub(crate) unsafe_sp: u64,
-    pub(crate) safe_sp: u64,
-    pub(crate) shadow_stack: Vec<u64>,
-    pub(crate) cookie: u64,
-    pub(crate) output: Vec<String>,
-    pub(crate) input: Vec<u8>,
-    pub(crate) input_pos: usize,
-    pub(crate) rng_state: u64,
-    /// FuncId → code entry address.
-    pub(crate) func_addrs: Vec<u64>,
-    /// Entry address → FuncId.
-    pub(crate) entry_to_func: HashMap<u64, FuncId, FastHash>,
-    /// Return-site address → (callee-side resume is Rust state; the map
-    /// is used to validate loaded return addresses).
-    pub(crate) ret_sites: HashMap<u64, FuncId, FastHash>,
-    /// (FuncId, BlockId, ip) → index of that call site in its function
-    /// (the walker's route to [`Machine::ret_site`]).
-    pub(crate) site_of_call: HashMap<(u32, u32, usize), u32, FastHash>,
-    /// GlobalId → data address.
-    pub(crate) global_addrs: Vec<u64>,
-    /// Global sizes (for bounds metadata).
-    pub(crate) global_sizes: Vec<u64>,
-    /// Intrinsic → pseudo entry address (ret2libc targets).
-    pub(crate) intrinsic_addrs: HashMap<Intrinsic, u64>,
-    /// Attack goals: reaching one of these addresses by an indirect
-    /// transfer ends the run with `Trap::Hijacked`.
-    pub(crate) goals: HashMap<u64, GoalKind, FastHash>,
-    /// Live setjmp contexts keyed by token address.
-    pub(crate) setjmp_ctxs: HashMap<u64, SetjmpCtx, FastHash>,
-    /// Per-machine MAC key for the PAC defense family, derived
-    /// deterministically from the session seed at boot. Config-immutable
-    /// (needs no snapshot field); forks inherit it, so a fork
-    /// authenticates pointers the original sealed.
-    pub(crate) pac_key: u64,
-    /// Provenance of values stored (spilled) to the safe stack, keyed by
-    /// slot address: the word that was stored plus its metadata handle.
-    /// The safe stack is trusted storage inside the safe region (like
-    /// spilled registers), so metadata survives a round-trip through it
-    /// as long as the reloaded word still matches.
-    pub(crate) safe_stack_meta: HashMap<u64, (u64, MetaId), FastHash>,
-    /// Count of SFI-masked accesses (for amortized charging).
-    pub(crate) sfi_masked: u64,
-    /// Functions whose signature-hash matches at least one other —
-    /// cached per-callsite CFI target sets are derived lazily.
-    pub(crate) sig_hashes: Vec<u64>,
     /// The provenance interner: every based-on record lives here once,
     /// referenced by the [`MetaId`] handles inside values.
     pub(crate) meta: MetaTable,
-    /// Per-function frame descriptors (shared by both engines).
-    pub(crate) frame_descs: Vec<FrameDesc>,
     /// Pre-interned code provenance per function (FuncAddr results).
+    /// Minted in this machine's table, so not part of the image: the
+    /// loader reset re-interns them under a bumped generation.
     pub(crate) func_meta: Vec<MetaId>,
     /// Pre-interned data provenance per global (GlobalAddr results).
     pub(crate) global_meta: Vec<MetaId>,
-    /// The module compiled to bytecode, populated on first use by the
-    /// bytecode engine.
-    pub(crate) bc: Option<levee_bc::BcModule>,
-    /// Fusion plan counts recorded when the bytecode was compiled
-    /// (`Some` once compiled; all-zero when fusion was off). Survives
-    /// reset along with the bytecode itself.
-    pub(crate) fuse_stats: Option<levee_bc::FuseStats>,
+    pub(crate) run: RunState,
+    /// Attack goals: reaching one of these addresses by an indirect
+    /// transfer ends the run with `Trap::Hijacked`.
+    pub(crate) goals: HashMap<u64, GoalKind, FastHash>,
     /// The execution profiler ([`crate::probe`]), attached when
     /// [`VmConfig::profile`] is set. Host-side observation only: no
     /// probe method touches the simulated cost model.
@@ -250,114 +223,123 @@ pub struct Machine<'m> {
     /// Recycled register files: calls are frequent enough that
     /// allocating a fresh `Vec<V>` per frame shows up in profiles.
     pub(crate) reg_pool: Vec<Vec<V>>,
-    /// Machine-level scalars of the post-load snapshot (the bulky state
-    /// — memory pages, store slots, heap maps — is held copy-on-write
-    /// *inside* [`Memory`], the store and [`Heap`]). `Some` whenever
-    /// [`VmConfig::reset_mode`] is [`ResetMode::Snapshot`]; captured at
-    /// the end of [`Machine::boot`].
-    snapshot: Option<Snapshot>,
+    /// The provenance table's post-load mark: `Some` whenever
+    /// [`VmConfig::reset_mode`] is [`ResetMode::Snapshot`], taken at the
+    /// end of [`Machine::boot`]. The rest of the post-load snapshot is
+    /// held copy-on-write inside [`Memory`], the store and [`Heap`].
+    /// Restoring it drops the entries a run minted while loader-minted
+    /// handles (`func_meta`, `global_meta`) stay valid — no generation
+    /// bump, unlike the loader reset.
+    snapshot: Option<MetaMark>,
     /// What the most recent [`Machine::reset`] cost; all-zero before
     /// the first reset.
     last_reset: ResetStats,
 }
 
+/// Everything a run moves. [`RunState::rearm`] puts it back to its
+/// post-load value; [`Machine::fork`] clones it whole.
+#[derive(Clone, Default)]
+pub(crate) struct RunState {
+    pub stats: ExecStats,
+    pub frames: Vec<Frame>,
+    pub sp: u64,
+    pub unsafe_sp: u64,
+    pub safe_sp: u64,
+    pub shadow_stack: Vec<u64>,
+    pub output: Vec<String>,
+    pub input: Vec<u8>,
+    pub input_pos: usize,
+    /// State of the deterministic `rand` intrinsic.
+    pub rng_state: u64,
+    /// Live setjmp contexts keyed by token address.
+    pub setjmp_ctxs: HashMap<u64, SetjmpCtx, FastHash>,
+    /// Provenance of values stored (spilled) to the safe stack, keyed by
+    /// slot address: the word that was stored plus its metadata handle.
+    /// The safe stack is trusted storage inside the safe region (like
+    /// spilled registers), so metadata survives a round-trip through it
+    /// as long as the reloaded word still matches.
+    pub safe_stack_meta: HashMap<u64, (u64, MetaId), FastHash>,
+    /// Count of SFI-masked accesses (for amortized charging).
+    pub sfi_masked: u64,
+}
+
+impl RunState {
+    /// Re-arms the state to its post-load value in place: containers are
+    /// cleared, never replaced, so a snapshot restore allocates nothing.
+    /// The caller has already drained `frames` (their register files go
+    /// back to the machine's pool).
+    fn rearm(&mut self, layout: &Layout, seed: u64) {
+        debug_assert!(self.frames.is_empty());
+        self.stats = ExecStats::default();
+        self.sp = layout.stack_top;
+        self.unsafe_sp = layout.unsafe_stack_top;
+        self.safe_sp = layout.safe_stack_top();
+        self.shadow_stack.clear();
+        self.output.clear();
+        self.input.clear();
+        self.input_pos = 0;
+        self.rng_state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+        self.setjmp_ctxs.clear();
+        self.safe_stack_meta.clear();
+        self.sfi_masked = 0;
+    }
+}
+
 /// A `Machine` migrates whole into worker threads (levee-core's
 /// `SessionPool`); pin the `Send` guarantee at compile time so a
 /// non-`Send` field (e.g. a store without the `Send` supertrait)
-/// cannot regress it silently.
+/// cannot regress it silently. Forks on other threads share one
+/// [`Image`], so it must be `Sync` too.
+///
+/// `levee_core::Session::machine` shortens a `&Machine<'static>` to a
+/// `&'s Machine<'s>`, which is sound only while `Machine` is covariant
+/// in `'m`; `shorten` stops compiling if a field makes it invariant.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
+    fn assert_sync<T: Sync>() {}
     assert_send::<Machine<'static>>();
+    assert_sync::<Image<'static>>();
+    fn shorten<'s>(m: &'s Machine<'static>) -> &'s Machine<'s> {
+        m
+    }
+    let _ = shorten;
 };
-
-/// Machine-level state of the post-`load()` image that is not already
-/// held by a component baseline: the provenance-table high-water
-/// [`MetaMark`] plus the post-load RNG scalars. Everything else a
-/// restore re-establishes is either component-owned
-/// ([`Memory::capture_snapshot`], `PtrStore::capture_snapshot`,
-/// [`Heap::capture_snapshot`]) or recomputed from `config`/`layout`.
-#[derive(Clone)]
-struct Snapshot {
-    /// Rewind point for the provenance interner: entries minted by a
-    /// run are dropped, loader-minted handles (`func_meta`,
-    /// `global_meta`) stay valid — no generation bump, unlike the
-    /// loader reset path.
-    meta: MetaMark,
-    /// Post-load deterministic RNG state (the run's `rand` intrinsic
-    /// advances it).
-    rng_state: u64,
-    /// The stack cookie drawn at boot (config-deterministic; kept here
-    /// so a restore never has to replay the boot RNG sequence).
-    cookie: u64,
-}
 
 impl<'m> Machine<'m> {
     /// Loads `module` into a fresh machine with the given config.
     pub fn new(module: &'m Module, config: VmConfig) -> Self {
-        Self::boot(module, config, MetaTable::new())
+        Self::boot(
+            Arc::new(Image::new(module, &config)),
+            config,
+            MetaTable::new(),
+        )
     }
 
     /// Shared constructor behind [`Machine::new`] and [`Machine::reset`]:
-    /// builds a freshly-loaded machine around an existing provenance
+    /// loads `image` into a fresh machine around an existing provenance
     /// table (reset passes the old table with its generation already
     /// bumped, so handles minted before the reset stay invalid).
-    fn boot(module: &'m Module, config: VmConfig, meta: MetaTable) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5afe_5afe);
-        let layout = if config.aslr || config.isolation == Isolation::InfoHiding {
-            Layout::randomized(&mut rng, config.aslr)
-        } else {
-            Layout::fixed()
-        };
+    fn boot(image: Arc<Image<'m>>, config: VmConfig, meta: MetaTable) -> Self {
+        let layout = image.layout;
         let mut m = Machine {
-            module,
+            image,
             config,
             layout,
             mem: Memory::new(),
             cache: Cache::default_l1(),
             heap: Heap::new(layout.heap_base, layout::HEAP_LIMIT),
             store: config.store_kind.instantiate(layout.ptr_store_base()),
-            stats: ExecStats::default(),
-            frames: Vec::new(),
-            sp: layout.stack_top,
-            unsafe_sp: layout.unsafe_stack_top,
-            safe_sp: layout.safe_stack_top(),
-            shadow_stack: Vec::new(),
-            cookie: rng.gen::<u64>() | 1,
-            output: Vec::new(),
-            input: Vec::new(),
-            input_pos: 0,
-            rng_state: config
-                .seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1),
-            func_addrs: Vec::new(),
-            entry_to_func: HashMap::default(),
-            ret_sites: HashMap::default(),
-            site_of_call: HashMap::default(),
-            global_addrs: Vec::new(),
-            global_sizes: Vec::new(),
-            intrinsic_addrs: HashMap::new(),
-            goals: HashMap::default(),
-            setjmp_ctxs: HashMap::default(),
-            // Salted splitmix of the seed, NOT a draw from the boot RNG:
-            // deriving the key out-of-band keeps every existing RNG
-            // stream (layout, cookie, `rand`) bit-identical whether or
-            // not PAC is configured.
-            pac_key: pac_mix(config.seed ^ 0x5EA1_C0DE_5EA1_C0DE),
-            safe_stack_meta: HashMap::default(),
-            sfi_masked: 0,
-            sig_hashes: Vec::new(),
             meta,
-            frame_descs: Vec::new(),
             func_meta: Vec::new(),
             global_meta: Vec::new(),
-            bc: None,
-            fuse_stats: None,
-            probe: config.profile.then(|| Box::new(Profiler::new(module))),
+            run: RunState::default(),
+            goals: HashMap::default(),
+            probe: None,
             reg_pool: Vec::new(),
             snapshot: None,
             last_reset: ResetStats::default(),
         };
+        m.rearm();
         m.load();
         // Capture the complete post-load image as the reset baseline:
         // memory pages and store slots are shared copy-on-write, the
@@ -369,30 +351,47 @@ impl<'m> Machine<'m> {
             m.mem.capture_snapshot();
             m.heap.capture_snapshot();
             m.store.capture_snapshot();
-            m.snapshot = Some(Snapshot {
-                meta: m.meta.mark(),
-                rng_state: m.rng_state,
-                cookie: m.cookie,
-            });
+            m.snapshot = Some(m.meta.mark());
         }
         m
     }
 
+    /// Re-arms the run state and the profiler — the part of boot that a
+    /// snapshot restore repeats. Frames left by a trapped run recycle
+    /// through the same pool as completed calls.
+    fn rearm(&mut self) {
+        while let Some(frame) = self.run.frames.pop() {
+            self.recycle_vec(frame.regs);
+        }
+        self.run.rearm(&self.layout, self.config.seed);
+        self.probe = self.new_probe();
+    }
+
+    /// A fresh profiler when [`VmConfig::profile`] is set.
+    fn new_probe(&self) -> Option<Box<Profiler>> {
+        self.config
+            .profile
+            .then(|| Box::new(Profiler::new(self.image.module.funcs.len())))
+    }
+
     /// Forks this machine into an independent twin for another worker.
     ///
-    /// The fork shares the copy-on-write substrate with the original:
-    /// memory pages, safe-store pages and their captured baselines stay
-    /// `Arc`-shared until either machine writes to them, so N resident
-    /// workers cost one boot image plus their private dirt. Everything
-    /// mutable — stats, dirty lists, the provenance table, RNG state,
-    /// the cache model — is cloned, never shared, so the fork's clean-
-    /// page invariant (`Arc::strong_count > 1` ⟺ shared with *its own*
-    /// baseline) holds no matter how many machines hold the same pages.
+    /// The fork shares the load image with the original — the loader's
+    /// tables and the bytecode, compiled at most once for every machine
+    /// that shares it: a fork of a machine that has not compiled yet
+    /// uses whichever of them compiles first. It also shares the
+    /// copy-on-write substrate: memory pages, safe-store pages and their
+    /// captured baselines stay `Arc`-shared until either machine writes
+    /// to them, so N resident workers cost one boot image plus their
+    /// private dirt. Everything mutable — the run state, dirty lists,
+    /// the provenance table, the cache model — is cloned, never shared,
+    /// so the fork's clean-page invariant (`Arc::strong_count > 1` ⟺
+    /// shared with *its own* baseline) holds no matter how many
+    /// machines hold the same pages.
     ///
-    /// Compiled bytecode and the fusion plan are carried over, so forks
-    /// of a precompiled machine never recompile. The profiler is not
-    /// forked (profiling is per-machine observation): when
-    /// [`VmConfig::profile`] is set the fork starts a fresh probe.
+    /// The profiler is not forked (profiling is per-machine
+    /// observation): when [`VmConfig::profile`] is set the fork starts
+    /// a fresh probe.
     ///
     /// # Panics
     ///
@@ -400,51 +399,23 @@ impl<'m> Machine<'m> {
     /// machine is an owner lifecycle bug.
     pub fn fork(&self) -> Machine<'m> {
         assert!(
-            self.frames.is_empty(),
+            self.run.frames.is_empty(),
             "cannot fork a machine mid-run; fork between runs"
         );
         Machine {
-            module: self.module,
+            image: Arc::clone(&self.image),
             config: self.config,
             layout: self.layout,
             mem: self.mem.clone(),
             cache: self.cache.clone(),
             heap: self.heap.clone(),
             store: self.store.boxed_clone(),
-            stats: self.stats,
-            frames: Vec::new(),
-            sp: self.sp,
-            unsafe_sp: self.unsafe_sp,
-            safe_sp: self.safe_sp,
-            shadow_stack: self.shadow_stack.clone(),
-            cookie: self.cookie,
-            output: self.output.clone(),
-            input: self.input.clone(),
-            input_pos: self.input_pos,
-            rng_state: self.rng_state,
-            func_addrs: self.func_addrs.clone(),
-            entry_to_func: self.entry_to_func.clone(),
-            ret_sites: self.ret_sites.clone(),
-            site_of_call: self.site_of_call.clone(),
-            global_addrs: self.global_addrs.clone(),
-            global_sizes: self.global_sizes.clone(),
-            intrinsic_addrs: self.intrinsic_addrs.clone(),
-            goals: self.goals.clone(),
-            setjmp_ctxs: self.setjmp_ctxs.clone(),
-            pac_key: self.pac_key,
-            safe_stack_meta: self.safe_stack_meta.clone(),
-            sfi_masked: self.sfi_masked,
-            sig_hashes: self.sig_hashes.clone(),
             meta: self.meta.clone(),
-            frame_descs: self.frame_descs.clone(),
             func_meta: self.func_meta.clone(),
             global_meta: self.global_meta.clone(),
-            bc: self.bc.clone(),
-            fuse_stats: self.fuse_stats,
-            probe: self
-                .config
-                .profile
-                .then(|| Box::new(Profiler::new(self.module))),
+            run: self.run.clone(),
+            goals: self.goals.clone(),
+            probe: self.new_probe(),
             reg_pool: Vec::new(),
             snapshot: self.snapshot.clone(),
             last_reset: ResetStats::default(),
@@ -458,22 +429,24 @@ impl<'m> Machine<'m> {
 
     /// The entry address of a function, by name.
     pub fn func_entry(&self, name: &str) -> Option<u64> {
-        self.module
+        self.image
+            .module
             .func_by_name(name)
-            .map(|f| self.func_addrs[f.0 as usize])
+            .map(|f| self.image.func_addrs[f.0 as usize])
     }
 
     /// The data address of a global, by name.
     pub fn global_addr(&self, name: &str) -> Option<u64> {
-        self.module
+        self.image
+            .module
             .global_by_name(name)
-            .map(|g| self.global_addrs[g.0 as usize])
+            .map(|g| self.image.global_addrs[g.0 as usize])
     }
 
     /// The pseudo entry address of a libc intrinsic (`system`, …) — the
     /// classic return-to-libc target.
     pub fn intrinsic_entry(&self, which: Intrinsic) -> u64 {
-        self.intrinsic_addrs[&which]
+        self.image.intrinsic_addrs[&which]
     }
 
     /// Registers an attack goal: control reaching `addr` via any
@@ -485,14 +458,14 @@ impl<'m> Machine<'m> {
     /// All valid return-site addresses — the target set a coarse CFI
     /// return policy admits (used by CFI-bypass experiments).
     pub fn ret_site_addrs(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.ret_sites.keys().copied().collect();
+        let mut v: Vec<u64> = self.image.ret_sites.keys().copied().collect();
         v.sort_unstable();
         v
     }
 
     /// Execution statistics accumulated so far.
     pub fn stats(&self) -> ExecStats {
-        self.stats
+        self.run.stats
     }
 
     /// Starts recording the memory touch log: every simulated memory
@@ -523,7 +496,7 @@ impl<'m> Machine<'m> {
     pub fn enable_profile(&mut self) {
         self.config.profile = true;
         if self.probe.is_none() {
-            self.probe = Some(Box::new(Profiler::new(self.module)));
+            self.probe = self.new_probe();
         }
     }
 
@@ -534,7 +507,7 @@ impl<'m> Machine<'m> {
     /// this run cost.
     pub fn profile_report(&self) -> Option<ProfileReport> {
         self.probe.as_ref().map(|p| {
-            let mut report = p.report(self.module, &self.stats);
+            let mut report = p.report(self.image.module, &self.run.stats);
             report.reset = self.last_reset;
             report
         })
@@ -542,19 +515,21 @@ impl<'m> Machine<'m> {
 
     /// Superinstruction fusion plan counts, recorded when the module
     /// was compiled to bytecode (`None` until then; all-zero when
-    /// fusion is off).
+    /// fusion is off). The compile is shared with every fork, so this
+    /// is `Some` as soon as this machine or any machine sharing its
+    /// image has compiled.
     pub fn fuse_stats(&self) -> Option<levee_bc::FuseStats> {
-        self.fuse_stats
+        self.image.fuse_stats()
     }
 
     /// Resets the machine to its freshly-loaded state so [`Machine::run`]
-    /// can be called again. Attack goals, the compiled bytecode and the
-    /// mem-trace setting survive (they depend only on the module and
-    /// config, which do not change); everything a run can move —
-    /// frames, stacks, the memory image, heap, store, cache, stats,
-    /// output — is re-armed. However the reset is performed, the result
-    /// replays bit-identically to a fresh [`Machine::new`] in every
-    /// simulated counter (the differential suites and the session
+    /// can be called again. Attack goals, the image (compiled bytecode
+    /// included) and the mem-trace setting survive (they depend only on
+    /// the module and config, which do not change); everything a run can
+    /// move — frames, stacks, the memory image, heap, store, cache,
+    /// stats, output — is re-armed. However the reset is performed, the
+    /// result replays bit-identically to a fresh [`Machine::new`] in
+    /// every simulated counter (the differential suites and the session
     /// proptest in `levee-core` enforce this).
     ///
     /// Two mechanisms, selected by [`VmConfig::reset_mode`]:
@@ -564,8 +539,8 @@ impl<'m> Machine<'m> {
     ///   only what the last run dirtied (`restore_from_snapshot`). This
     ///   is what makes per-request machine recycling
     ///   (`levee_core::session::Session::run_batch`) nearly free.
-    /// * [`ResetMode::Loader`], or any boot that captured no snapshot:
-    ///   tear down and re-run the loader from the module image.
+    /// * [`ResetMode::Loader`]: tear down memory, heap and store and
+    ///   re-run the loader over the shared image.
     ///
     /// [`Machine::last_reset_stats`] reports what the reset cost.
     ///
@@ -581,7 +556,7 @@ impl<'m> Machine<'m> {
     /// hold at the restore point) stay valid, while run-minted handles
     /// point past the arena and likewise resolve to `None`.
     pub fn reset(&mut self) {
-        if self.config.reset_mode == ResetMode::Snapshot && self.snapshot.is_some() {
+        if self.snapshot.is_some() {
             self.restore_from_snapshot();
             return;
         }
@@ -590,69 +565,39 @@ impl<'m> Machine<'m> {
         // nothing minted earlier) are the only live handles afterwards.
         self.meta.reset();
         // Survivors: the bumped table (generation sequence continues),
-        // the compiled bytecode (depends only on the module), attack
-        // goals (layout is config-deterministic) and the trace setting.
+        // the image, attack goals (layout is config-deterministic) and
+        // the trace setting.
         let meta = std::mem::take(&mut self.meta);
-        let bc = self.bc.take();
-        let fuse_stats = self.fuse_stats.take();
         let goals = std::mem::take(&mut self.goals);
         let tracing = self.cache.trace().is_some();
-        *self = Self::boot(self.module, self.config, meta);
-        self.bc = bc;
-        self.fuse_stats = fuse_stats;
+        *self = Self::boot(Arc::clone(&self.image), self.config, meta);
         self.goals = goals;
         if tracing {
             self.cache.enable_trace();
         }
-        self.last_reset = ResetStats::default();
     }
 
     /// The snapshot arm of [`Machine::reset`]: reverts exactly what the
-    /// last run dirtied and re-establishes the handful of scalars a
-    /// fresh boot would compute, without touching the loader.
+    /// last run dirtied and re-arms the run state, without touching the
+    /// loader.
     ///
     /// The heavy state restores itself component by component —
     /// [`Memory::restore_snapshot`] re-shares dirty pages,
     /// `PtrStore::restore_snapshot` reverts dirty store structure,
     /// [`Heap::restore_snapshot`] copies the allocator maps back only
-    /// if the run allocated, and [`MetaTable::truncate_to`] drops
-    /// run-interned provenance. Everything else (stacks, cache, stats,
-    /// output, setjmp contexts) is cleared or recomputed here exactly
-    /// as [`Machine::boot`] would have produced it.
+    /// if the run allocated, [`MetaTable::truncate_to`] drops
+    /// run-interned provenance and [`Cache::reset`] empties the cache
+    /// model. The run state is re-armed by the same function boot uses.
     fn restore_from_snapshot(&mut self) {
-        let snap = self.snapshot.take().expect("snapshot present");
         let (pages_dirtied, bytes_restored) = self.mem.restore_snapshot();
         let store_bytes_restored = self.store.restore_snapshot();
         self.heap.restore_snapshot();
-        let meta_entries_dropped = self.meta.truncate_to(&snap.meta);
+        let mark = self.snapshot.as_ref().expect("snapshot present");
+        let meta_entries_dropped = self.meta.truncate_to(mark);
         // Cache reset empties the touch log but keeps tracing enabled,
         // matching the loader path's re-enable.
         self.cache.reset();
-        self.stats = ExecStats::default();
-        // Frames left by a trapped run recycle through the same pool as
-        // completed calls — `recycle_vec` clears them, upholding
-        // `take_vec`'s invariant that pooled vectors are empty.
-        let leftovers: Vec<_> = self.frames.drain(..).map(|f| f.regs).collect();
-        for regs in leftovers {
-            self.recycle_vec(regs);
-        }
-        self.shadow_stack.clear();
-        self.sp = self.layout.stack_top;
-        self.unsafe_sp = self.layout.unsafe_stack_top;
-        self.safe_sp = self.layout.safe_stack_top();
-        self.cookie = snap.cookie;
-        self.output.clear();
-        self.input.clear();
-        self.input_pos = 0;
-        self.rng_state = snap.rng_state;
-        self.setjmp_ctxs.clear();
-        self.safe_stack_meta.clear();
-        self.sfi_masked = 0;
-        // A fresh profiler, like a fresh boot's (profiling may also
-        // have been enabled after boot via `enable_profile`).
-        if self.config.profile {
-            self.probe = Some(Box::new(Profiler::new(self.module)));
-        }
+        self.rearm();
         self.last_reset = ResetStats {
             used_snapshot: true,
             pages_dirtied,
@@ -660,7 +605,6 @@ impl<'m> Machine<'m> {
             store_bytes_restored,
             meta_entries_dropped,
         };
-        self.snapshot = Some(snap);
     }
 
     /// What the most recent [`Machine::reset`] cost (all-zero before
@@ -685,52 +629,27 @@ impl<'m> Machine<'m> {
         self.mem.snapshot_private_bytes()
     }
 
+    /// The loader: writes the image into memory and the safe store and
+    /// interns the code and data provenance handles.
     fn load(&mut self) {
-        // Code layout: program functions low, the libc (intrinsic) block
-        // high — and only the libc block moves under ASLR (non-PIE).
-        let libc_base = layout::CODE_BASE + layout::LIBC_CODE_OFFSET + self.layout.libc_shift;
-        for (i, intr) in Intrinsic::all().iter().enumerate() {
-            let addr = libc_base + 64 + i as u64 * 16;
-            self.intrinsic_addrs.insert(*intr, addr);
-        }
-        let func_area = layout::CODE_BASE + 0x10_000;
-        for (fid, f) in self.module.iter_funcs() {
-            let entry = func_area + fid.0 as u64 * layout::FUNC_STRIDE;
-            self.func_addrs.push(entry);
-            self.entry_to_func.insert(entry, fid);
-            self.sig_hashes.push(f.sig.type_hash());
-            self.frame_descs.push(FrameDesc::of(f));
-            let code_meta = self.meta.intern(Entry::code(entry));
-            self.func_meta.push(code_meta);
-            // Assign return sites for every call-shaped instruction, in
-            // `iter_call_sites` order — the same numbering the bytecode
-            // compiler embeds as site indices.
-            for (site, (bid, ip, _)) in f.iter_call_sites().enumerate() {
-                let site = site as u32;
-                self.site_of_call.insert((fid.0, bid.0, ip), site);
-                self.ret_sites.insert(self.ret_site(fid.0, site), fid);
-            }
+        let image = Arc::clone(&self.image);
+        let module = image.module;
+        let func_area = Image::func_area();
+        for entry in &image.func_addrs {
+            self.func_meta.push(self.meta.intern(Entry::code(*entry)));
         }
         // Code and rodata are write-protected (threat model §2).
         self.mem.protect(
             layout::CODE_BASE,
-            func_area - layout::CODE_BASE + self.module.funcs.len() as u64 * layout::FUNC_STRIDE,
+            func_area - layout::CODE_BASE + module.funcs.len() as u64 * layout::FUNC_STRIDE,
         );
 
         // Globals.
-        let mut ro_cursor = self.layout.rodata_base;
-        let mut rw_cursor = self.layout.data_base;
-        for g in &self.module.globals {
-            let size = self.module.types.size_of(&g.ty).max(1);
-            let cursor = if g.read_only {
-                &mut ro_cursor
-            } else {
-                &mut rw_cursor
-            };
-            let addr = crate::ctx_align(*cursor, 16);
-            *cursor = addr + size;
-            self.global_addrs.push(addr);
-            self.global_sizes.push(size);
+        for (g, (&addr, &size)) in module
+            .globals
+            .iter()
+            .zip(image.global_addrs.iter().zip(&image.global_sizes))
+        {
             let data_meta = self.meta.intern(Entry::data(addr, addr, addr + size, 0));
             self.global_meta.push(data_meta);
             // Materialize the initializer.
@@ -742,7 +661,7 @@ impl<'m> Machine<'m> {
                         off += size;
                     }
                     InitAtom::FuncPtr(fid) => {
-                        let target = func_area + fid.0 as u64 * layout::FUNC_STRIDE;
+                        let target = Image::entry(*fid);
                         // Under PAC the loader plays the linker's part:
                         // code pointers embedded in initializers are
                         // sealed in place, so instrumented loads of them
@@ -784,12 +703,12 @@ impl<'m> Machine<'m> {
         // protects code pointers — safe-store entries for every pointer
         // the compiler/linker embedded in initializers (§4 "Binary
         // level functionality": jump tables, dispatch tables, vtables).
-        for (gid, g) in self.module.globals.iter().enumerate() {
-            let mut off = self.global_addrs[gid];
+        for (g, &addr) in module.globals.iter().zip(&image.global_addrs) {
+            let mut off = addr;
             for atom in &g.init {
                 match atom {
                     InitAtom::GlobalPtr(target, delta) => {
-                        let target_addr = self.global_addrs[target.0 as usize] + delta;
+                        let target_addr = image.global_addrs[target.0 as usize] + delta;
                         self.mem.loader_write_uint(off, target_addr, 8);
                         if self.config.protect_runtime_code_ptrs {
                             // The pre-interned per-global handle is the
@@ -800,7 +719,7 @@ impl<'m> Machine<'m> {
                         }
                     }
                     InitAtom::FuncPtr(fid) if self.config.protect_runtime_code_ptrs => {
-                        let entry = func_area + fid.0 as u64 * layout::FUNC_STRIDE;
+                        let entry = Image::entry(*fid);
                         let meta = self.func_meta[fid.0 as usize];
                         let _ = self.store.set(off, levee_rt::Slot::new(entry, meta));
                     }
@@ -810,9 +729,8 @@ impl<'m> Machine<'m> {
             }
         }
         // Write-protect read-only globals (jump tables, vtables, GOT).
-        let ro_len = ro_cursor - self.layout.rodata_base;
-        if ro_len > 0 {
-            self.mem.protect(self.layout.rodata_base, ro_len);
+        if image.rodata_len > 0 {
+            self.mem.protect(self.layout.rodata_base, image.rodata_len);
         }
         // Map the stacks as zero memory, with one slack page above each
         // top (environment/TCB scratch) so that small overflows running
@@ -833,20 +751,20 @@ impl<'m> Machine<'m> {
     /// Runs `main` to completion with the given attacker-controlled
     /// input payload.
     pub fn run(&mut self, input: &[u8]) -> RunOutcome {
-        self.input = input.to_vec();
-        self.input_pos = 0;
-        let main = match self.module.func_by_name("main") {
+        self.run.input = input.to_vec();
+        self.run.input_pos = 0;
+        let main = match self.image.module.func_by_name("main") {
             Some(f) => f,
             None => {
                 return RunOutcome {
                     status: ExitStatus::Trapped(Trap::BadControl { addr: 0 }),
-                    stats: self.stats,
+                    stats: self.run.stats,
                     output: String::new(),
                 }
             }
         };
         if let Some(p) = self.probe.as_deref_mut() {
-            p.begin_run(self.stats.cycles);
+            p.begin_run(self.run.stats.cycles);
         }
         let status = match self.enter_main(main) {
             Err(trap) => ExitStatus::Trapped(trap),
@@ -856,18 +774,14 @@ impl<'m> Machine<'m> {
             },
         };
         if let Some(p) = self.probe.as_deref_mut() {
-            p.end_run(
-                self.stats.cycles,
-                self.stats.insts,
-                self.stats.checks,
-                matches!(status, ExitStatus::Trapped(_)),
-            );
+            let stats = &self.run.stats;
+            p.end_run(stats.cycles, stats.insts, stats.checks);
         }
         self.finalize_stats();
         RunOutcome {
             status,
-            stats: self.stats,
-            output: self.output.join("\n"),
+            stats: self.run.stats,
+            output: self.run.output.join("\n"),
         }
     }
 
@@ -883,16 +797,17 @@ impl<'m> Machine<'m> {
 
     fn finalize_stats(&mut self) {
         let (h, miss) = self.cache.stats();
-        self.stats.cache_hits = h;
-        self.stats.cache_misses = miss;
-        self.stats.store_bytes = self.store.memory_bytes();
-        self.stats.store_entries_peak = self
+        self.run.stats.cache_hits = h;
+        self.run.stats.cache_misses = miss;
+        self.run.stats.store_bytes = self.store.memory_bytes();
+        self.run.stats.store_entries_peak = self
+            .run
             .stats
             .store_entries_peak
             .max(self.store.entry_count() as u64);
-        self.stats.regular_bytes = self.mem.resident_bytes();
-        self.stats.heap_peak = self.heap.peak_bytes();
-        self.stats.input_consumed = self.input_pos as u64;
+        self.run.stats.regular_bytes = self.mem.resident_bytes();
+        self.run.stats.heap_peak = self.heap.peak_bytes();
+        self.run.stats.input_consumed = self.run.input_pos as u64;
     }
 
     // ---- charging helpers -------------------------------------------------
@@ -911,12 +826,12 @@ impl<'m> Machine<'m> {
             cycles += cost.mem_miss;
         }
         if regular && self.config.isolation == Isolation::Sfi {
-            self.sfi_masked += 1;
-            if self.sfi_masked.is_multiple_of(3) {
+            self.run.sfi_masked += 1;
+            if self.run.sfi_masked.is_multiple_of(3) {
                 cycles += cost.sfi_mask;
             }
         }
-        self.stats.cycles += cycles;
+        self.run.stats.cycles += cycles;
     }
 
     /// Charges the safe-store traffic described by `touched`; `kind`
@@ -937,23 +852,14 @@ impl<'m> Machine<'m> {
             }
         }
         if touched.page_fault {
-            self.stats.cycles += self.config.cost.page_fault;
-            self.stats.page_faults += 1;
-            if self.probe.is_some() {
-                let (cycles, addr) = (
-                    self.stats.cycles,
-                    touched.iter().last().unwrap_or_else(|| self.store.base()),
-                );
-                if let Some(p) = self.probe.as_deref_mut() {
-                    p.page_fault(cycles, addr);
-                }
-            }
+            self.run.stats.cycles += self.config.cost.page_fault;
+            self.run.stats.page_faults += 1;
         }
         let op_cost = match self.config.hardware {
             crate::config::HardwareModel::Software => self.config.cost.store_op,
             crate::config::HardwareModel::Mpx => self.config.cost.mpx_store_op,
         };
-        self.stats.cycles += op_cost;
+        self.run.stats.cycles += op_cost;
     }
 
     // ---- pointer authentication (PAC) -------------------------------------
@@ -990,8 +896,9 @@ impl<'m> Machine<'m> {
     #[inline]
     pub(crate) fn pac_tag(&self, raw: u64, ctx: u64) -> u64 {
         let bits = u32::from(self.config.pac_tag_bits.clamp(1, 16));
-        let mix =
-            pac_mix((raw & PAC_PTR_MASK) ^ self.pac_key ^ ctx.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mix = pac_mix(
+            (raw & PAC_PTR_MASK) ^ self.image.pac_key ^ ctx.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        );
         mix >> (64 - bits)
     }
 
@@ -1020,21 +927,21 @@ impl<'m> Machine<'m> {
     /// Charges one `pac_sign` (PACIA-analogue) op.
     #[inline]
     pub(crate) fn charge_pac_sign(&mut self) {
-        self.stats.pac_signs += 1;
-        self.stats.cycles += self.config.cost.pac_sign;
+        self.run.stats.pac_signs += 1;
+        self.run.stats.cycles += self.config.cost.pac_sign;
     }
 
     /// Charges one `pac_auth` (AUTIA-analogue) op.
     #[inline]
     pub(crate) fn charge_pac_auth(&mut self) {
-        self.stats.pac_auths += 1;
-        self.stats.cycles += self.config.cost.pac_auth;
+        self.run.stats.pac_auths += 1;
+        self.run.stats.cycles += self.config.cost.pac_auth;
     }
 
     #[inline]
     pub(crate) fn charge_check(&mut self) {
-        self.stats.checks += 1;
-        self.stats.cycles += match self.config.hardware {
+        self.run.stats.checks += 1;
+        self.run.stats.cycles += match self.config.hardware {
             crate::config::HardwareModel::Software => self.config.cost.check,
             crate::config::HardwareModel::Mpx => self.config.cost.mpx_check,
         };
@@ -1052,11 +959,9 @@ impl<'m> Machine<'m> {
     /// caller).
     #[inline]
     pub(crate) fn probe_enter(&mut self, func: u32) {
-        if self.probe.is_some() {
-            let (c, i, k) = (self.stats.cycles, self.stats.insts, self.stats.checks);
-            if let Some(p) = self.probe.as_deref_mut() {
-                p.enter(func, c, i, k);
-            }
+        if let Some(p) = self.probe.as_deref_mut() {
+            let s = &self.run.stats;
+            p.enter(func, s.cycles, s.insts, s.checks);
         }
     }
 
@@ -1065,22 +970,17 @@ impl<'m> Machine<'m> {
     /// callee).
     #[inline]
     pub(crate) fn probe_exit(&mut self) {
-        if self.probe.is_some() {
-            let (c, i, k) = (self.stats.cycles, self.stats.insts, self.stats.checks);
-            if let Some(p) = self.probe.as_deref_mut() {
-                p.exit(c, i, k);
-            }
+        if let Some(p) = self.probe.as_deref_mut() {
+            let s = &self.run.stats;
+            p.exit(s.cycles, s.insts, s.checks);
         }
     }
 
     /// A CPI check at `site` is about to run.
     #[inline]
     pub(crate) fn probe_check_attempt(&mut self, site: CheckSite) {
-        if self.probe.is_some() {
-            let now = self.stats.cycles;
-            if let Some(p) = self.probe.as_deref_mut() {
-                p.check_attempt(site, now);
-            }
+        if let Some(p) = self.probe.as_deref_mut() {
+            p.check(&self.image, site, false);
         }
     }
 
@@ -1088,18 +988,7 @@ impl<'m> Machine<'m> {
     #[inline]
     pub(crate) fn probe_check_pass(&mut self, site: CheckSite) {
         if let Some(p) = self.probe.as_deref_mut() {
-            p.check_pass(site);
-        }
-    }
-
-    /// A safe-pointer-store operation executed at `addr`.
-    #[inline]
-    pub(crate) fn probe_store_op(&mut self, addr: u64, is_load: bool) {
-        if self.probe.is_some() {
-            let now = self.stats.cycles;
-            if let Some(p) = self.probe.as_deref_mut() {
-                p.store_op(now, addr, is_load);
-            }
+            p.check(&self.image, site, true);
         }
     }
 
@@ -1167,12 +1056,12 @@ impl<'m> Machine<'m> {
 
     #[inline]
     pub(crate) fn frame(&self) -> &Frame {
-        self.frames.last().expect("no active frame")
+        self.run.frames.last().expect("no active frame")
     }
 
     #[inline]
     pub(crate) fn frame_mut(&mut self) -> &mut Frame {
-        self.frames.last_mut().expect("no active frame")
+        self.run.frames.last_mut().expect("no active frame")
     }
 
     #[inline]
@@ -1213,11 +1102,12 @@ impl<'m> Machine<'m> {
 
     /// Deterministic LCG for the `rand` intrinsic.
     pub(crate) fn next_rand(&mut self) -> u64 {
-        self.rng_state = self
+        self.run.rng_state = self
+            .run
             .rng_state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        self.rng_state >> 16
+        self.run.rng_state >> 16
     }
 }
 
@@ -1233,5 +1123,30 @@ mod tests {
     fn value_is_compact() {
         assert!(std::mem::size_of::<V>() <= 16);
         assert_eq!(std::mem::size_of::<MetaId>(), 4);
+    }
+
+    /// Forks and both reset modes keep the image they started with; only
+    /// `Machine::new` builds one.
+    #[test]
+    fn forks_and_resets_share_the_image() {
+        let mut module = Module::new("t");
+        let mut b = FuncBuilder::new("main", FnSig::new(vec![], Ty::I32));
+        b.ret(Some(Operand::Const(0)));
+        module.add_func(b.finish());
+        for mode in [ResetMode::Snapshot, ResetMode::Loader] {
+            let config = VmConfig::default().with_reset_mode(mode);
+            let mut m = Machine::new(&module, config);
+            let image = Arc::clone(&m.image);
+            assert!(Arc::ptr_eq(&image, &m.fork().image), "{mode:?}: fork");
+            m.run(b"");
+            m.reset();
+            assert_eq!(
+                m.last_reset_stats().used_snapshot,
+                mode == ResetMode::Snapshot
+            );
+            assert!(Arc::ptr_eq(&image, &m.image), "{mode:?}: reset");
+            let fresh = Machine::new(&module, config);
+            assert!(!Arc::ptr_eq(&image, &fresh.image), "{mode:?}: new");
+        }
     }
 }

@@ -39,18 +39,18 @@ impl<'m> Machine<'m> {
         let aligned = crate::ctx_align(size.max(1), 8);
         let addr = match stack {
             StackKind::Conventional => {
-                self.sp -= aligned;
+                self.run.sp -= aligned;
                 self.check_stack_space()?;
-                self.sp
+                self.run.sp
             }
             StackKind::Safe => {
-                self.safe_sp -= aligned;
-                self.safe_sp
+                self.run.safe_sp -= aligned;
+                self.run.safe_sp
             }
             StackKind::Unsafe => {
-                self.unsafe_sp -= aligned;
+                self.run.unsafe_sp -= aligned;
                 self.check_stack_space()?;
-                self.unsafe_sp
+                self.run.unsafe_sp
             }
         };
         Ok(self.v_data(addr, addr, addr + size, 0))
@@ -59,13 +59,13 @@ impl<'m> Machine<'m> {
     /// `load`: a `size`-byte program read from `space`.
     #[inline(always)]
     pub(crate) fn op_load(&mut self, addr: u64, size: u64, space: MemSpace) -> Result<V, Trap> {
-        self.stats.mem_ops += 1;
+        self.run.stats.mem_ops += 1;
         let raw = self.prog_read(addr, size, space)?;
         // Safe-stack slots are trusted storage: provenance survives the
         // round-trip (like a register spill) as long as the reloaded
         // word matches what was spilled.
         let meta = if space == MemSpace::SafeStack {
-            match self.safe_stack_meta.get(&addr) {
+            match self.run.safe_stack_meta.get(&addr) {
                 Some(&(spilled, m)) if spilled == raw => m,
                 _ => MetaId::NONE,
             }
@@ -86,12 +86,12 @@ impl<'m> Machine<'m> {
         size: u64,
         space: MemSpace,
     ) -> Result<(), Trap> {
-        self.stats.mem_ops += 1;
+        self.run.stats.mem_ops += 1;
         if space == MemSpace::SafeStack {
             if v.meta.is_some() {
-                self.safe_stack_meta.insert(addr, (v.raw, v.meta));
+                self.run.safe_stack_meta.insert(addr, (v.raw, v.meta));
             } else {
-                self.safe_stack_meta.remove(&addr);
+                self.run.safe_stack_meta.remove(&addr);
             }
         }
         self.prog_write(addr, v.raw, size, space)
@@ -129,7 +129,7 @@ impl<'m> Machine<'m> {
     #[inline(always)]
     pub(crate) fn op_global_addr(&self, global: usize) -> V {
         V {
-            raw: self.global_addrs[global],
+            raw: self.image.global_addrs[global],
             meta: self.global_meta[global],
         }
     }
@@ -139,7 +139,7 @@ impl<'m> Machine<'m> {
     #[inline(always)]
     pub(crate) fn op_func_addr(&self, func: usize) -> V {
         V {
-            raw: self.func_addrs[func],
+            raw: self.image.func_addrs[func],
             meta: self.func_meta[func],
         }
     }
@@ -181,24 +181,15 @@ impl<'m> Machine<'m> {
     #[inline(never)]
     fn charged_bin(&mut self, op: BinOp, x: u64, y: u64) -> Result<u64, Trap> {
         if op == BinOp::Mul {
-            self.stats.cycles += self.config.cost.mul;
+            self.run.stats.cycles += self.config.cost.mul;
             return Ok(x.wrapping_mul(y));
         }
-        self.stats.cycles += self.config.cost.div;
+        self.run.stats.cycles += self.config.cost.div;
         match (op, y) {
             (_, 0) => Err(Trap::DivByZero),
             (BinOp::Div, _) => Ok((x as i64).wrapping_div(y as i64) as u64),
             _ => Ok((x as i64).wrapping_rem(y as i64) as u64),
         }
-    }
-
-    /// The return address of call site `site` in function `caller`: the
-    /// sites sit 16 bytes apart after the entry, numbered in
-    /// `Function::iter_call_sites` order (the numbering the bytecode
-    /// compiler embeds).
-    #[inline]
-    pub(crate) fn ret_site(&self, caller: u32, site: u32) -> u64 {
-        self.func_addrs[caller as usize] + 16 * (site as u64 + 1)
     }
 
     /// The call tail shared by every call op (and the entry into
@@ -221,7 +212,7 @@ impl<'m> Machine<'m> {
                 self.resolve_indirect(target, sig, cfi, nargs)?
             }
         };
-        let desc = self.frame_descs[func.0 as usize];
+        let desc = self.image.frame_descs[func.0 as usize];
         let mut regs = self.take_vec();
         fill(self, &mut regs);
         debug_assert_eq!(regs.len(), desc.n_params as usize);

@@ -12,14 +12,11 @@
 //! * **per-function** inclusive/exclusive cycle + instruction + check
 //!   attribution, driven off the `push_frame`/`pop_frame` seam shared
 //!   by both engines,
-//! * **per-CPI-check-site** hit/miss counters, keyed by a deterministic
-//!   per-function numbering of the instrumentation's `Check`/`FnCheck`
-//!   ops (identical between the step walker and the — possibly fused —
-//!   bytecode stream, because compilation and fusion both preserve
-//!   program order),
-//! * a bounded **ring buffer of typed trace events** (call, return,
-//!   trap, check, store op, page fault), exportable as Chrome
-//!   trace-event JSON for flamegraph-style inspection.
+//! * **per-CPI-check-site** hit/miss counters, keyed by the machine
+//!   image's deterministic per-function numbering of the
+//!   instrumentation's `Check`/`FnCheck` ops (identical between the
+//!   step walker and the — possibly fused — bytecode stream, because
+//!   compilation and fusion both preserve program order).
 //!
 //! The non-negotiable invariant: the profiler is *observation only*.
 //! Every hook reads machine state (`stats`, frame identity) and writes
@@ -33,9 +30,10 @@
 
 use std::collections::HashMap;
 
-use levee_bc::{op_len, BcModule, Op};
+use levee_bc::Op;
 use levee_ir::prelude::*;
 
+use crate::machine::{CheckSite, Image};
 use crate::stats::ExecStats;
 
 /// Number of bytecode opcodes (`levee_bc::Op` discriminants `0..31`).
@@ -44,9 +42,6 @@ pub const N_OPS: usize = 31;
 /// Pseudo-opcode slot attributing the cycles charged before the first
 /// dispatch (loading `main`'s frame: call cost, return-slot write…).
 const STARTUP_SLOT: usize = N_OPS;
-
-/// Default capacity of the trace-event ring buffer.
-pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 // ---------------------------------------------------------------------------
 // Tagged memory-touch records (the promoted `Machine::mem_trace`)
@@ -96,97 +91,6 @@ pub fn touch_addrs(records: &[TouchRecord]) -> Vec<u64> {
 }
 
 // ---------------------------------------------------------------------------
-// Typed trace events
-// ---------------------------------------------------------------------------
-
-/// The kind of one [`TraceEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEventKind {
-    /// A frame was pushed (`a` = callee `FuncId`, `b` = stack depth).
-    Call,
-    /// A frame was popped (`a` = returning `FuncId`, `b` = stack depth
-    /// before the pop).
-    Return,
-    /// The run ended in a trap (`a`/`b` unused; recorded at run end).
-    Trap,
-    /// A CPI check-site execution (`a` = `FuncId`, `b` = site index).
-    Check,
-    /// A safe-pointer-store operation (`a` = address, `b` = 0 for a
-    /// store, 1 for a load).
-    StoreOp,
-    /// A safe-store page fault was charged (`a` = approximate address).
-    PageFault,
-}
-
-impl TraceEventKind {
-    /// Event name used in the Chrome trace export.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceEventKind::Call => "call",
-            TraceEventKind::Return => "return",
-            TraceEventKind::Trap => "trap",
-            TraceEventKind::Check => "check",
-            TraceEventKind::StoreOp => "store_op",
-            TraceEventKind::PageFault => "page_fault",
-        }
-    }
-}
-
-/// One structured trace event, timestamped in simulated cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// What happened.
-    pub kind: TraceEventKind,
-    /// Simulated-cycle timestamp at the moment of the event.
-    pub cycles: u64,
-    /// First payload word (meaning depends on [`TraceEvent::kind`]).
-    pub a: u64,
-    /// Second payload word.
-    pub b: u64,
-}
-
-/// Bounded ring of [`TraceEvent`]s: the newest `capacity` events are
-/// kept; older ones are dropped (and counted) rather than growing the
-/// buffer without bound on long runs.
-#[derive(Debug, Clone)]
-struct TraceRing {
-    buf: Vec<TraceEvent>,
-    cap: usize,
-    /// Index of the oldest event once the buffer has wrapped.
-    start: usize,
-    dropped: u64,
-}
-
-impl TraceRing {
-    fn new(cap: usize) -> Self {
-        TraceRing {
-            buf: Vec::new(),
-            cap: cap.max(1),
-            start: 0,
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, ev: TraceEvent) {
-        if self.buf.len() < self.cap {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.start] = ev;
-            self.start = (self.start + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    /// Events in chronological order.
-    fn events(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.start..]);
-        out.extend_from_slice(&self.buf[..self.start]);
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The profiler
 // ---------------------------------------------------------------------------
 
@@ -219,16 +123,6 @@ struct FuncAcc {
     active: u32,
 }
 
-/// Where a CPI check executes, in the coordinates of the engine running
-/// it; the profiler maps both onto one per-function site numbering.
-#[derive(Clone, Copy)]
-pub(crate) enum CheckSite {
-    /// The step walker's `(func, block, ip)`.
-    Ir(u32, u32, u32),
-    /// The bytecode engine's `(func, pc)` of a check-shaped opcode.
-    Bc(u32, u32),
-}
-
 /// The execution profiler: host-side observation state attached to a
 /// machine when [`crate::VmConfig::profile`] is on.
 ///
@@ -244,77 +138,21 @@ pub(crate) struct Profiler {
     pending: Option<(usize, u64)>,
     funcs: Vec<FuncAcc>,
     stack: Vec<ProbeFrame>,
-    /// `(func, block, ip) → site index` for the step walker's CPI
-    /// `Check`/`FnCheck` ops, numbered per function in program order.
-    ir_sites: HashMap<(u32, u32, u32), u32>,
-    /// Per-function `pc → site index` maps for the (possibly fused)
-    /// bytecode stream — the same numbering as [`Profiler::ir_sites`],
-    /// because compilation and fusion preserve program order. Built on
-    /// first contact with the compiled module.
-    bc_sites: Option<Vec<HashMap<u32, u32>>>,
     /// `(func, site) → (attempts, passes)`.
     site_hits: HashMap<(u32, u32), (u64, u64)>,
-    ring: TraceRing,
 }
 
 impl Profiler {
-    /// Builds a profiler for `module`: numbers every CPI check site
-    /// (per function, in program order) so the walker's `(block, ip)`
-    /// coordinates resolve to stable site ids.
-    pub(crate) fn new(module: &Module) -> Self {
-        let mut ir_sites = HashMap::new();
-        for (fid, f) in module.iter_funcs() {
-            let mut next = 0u32;
-            for (bid, block) in f.iter_blocks() {
-                for (ip, inst) in block.insts.iter().enumerate() {
-                    if let Inst::Cpi(CpiOp::Check { .. } | CpiOp::FnCheck { .. }) = inst {
-                        ir_sites.insert((fid.0, bid.0, ip as u32), next);
-                        next += 1;
-                    }
-                }
-            }
-        }
+    /// Builds a profiler for a module of `funcs` functions.
+    pub(crate) fn new(funcs: usize) -> Self {
         Profiler {
             op_counts: [0; N_OPS + 1],
             op_cycles: [0; N_OPS + 1],
             pending: None,
-            funcs: vec![FuncAcc::default(); module.funcs.len()],
+            funcs: vec![FuncAcc::default(); funcs],
             stack: Vec::new(),
-            ir_sites,
-            bc_sites: None,
             site_hits: HashMap::new(),
-            ring: TraceRing::new(DEFAULT_RING_CAPACITY),
         }
-    }
-
-    /// Numbers check sites in the compiled (possibly fused) bytecode:
-    /// walks each function's stream by [`op_len`] and assigns site
-    /// indices to check-shaped opcodes in stream order. Stream order
-    /// equals IR program order (the compiler flattens blocks in order;
-    /// fusion replaces adjacent pairs in place), so the ids agree with
-    /// [`Profiler::ir_sites`].
-    pub(crate) fn attach_bc(&mut self, bc: &BcModule) {
-        if self.bc_sites.is_some() {
-            return;
-        }
-        let mut per_func = Vec::with_capacity(bc.funcs.len());
-        for f in &bc.funcs {
-            let mut sites = HashMap::new();
-            let mut next = 0u32;
-            let mut pc = 0usize;
-            while pc < f.code.len() {
-                if matches!(
-                    Op::from_u32(f.code[pc]),
-                    Op::Check | Op::FnCheck | Op::CheckLoad | Op::CheckPtrLoad | Op::CheckedCall
-                ) {
-                    sites.insert(pc as u32, next);
-                    next += 1;
-                }
-                pc += op_len(&f.code, pc);
-            }
-            per_func.push(sites);
-        }
-        self.bc_sites = Some(per_func);
     }
 
     fn close_pending(&mut self, now: u64) {
@@ -346,12 +184,6 @@ impl Profiler {
     pub(crate) fn enter(&mut self, func: u32, cycles: u64, insts: u64, checks: u64) {
         self.funcs[func as usize].calls += 1;
         self.funcs[func as usize].active += 1;
-        self.ring.push(TraceEvent {
-            kind: TraceEventKind::Call,
-            cycles,
-            a: func as u64,
-            b: self.stack.len() as u64 + 1,
-        });
         self.stack.push(ProbeFrame {
             func,
             entry_cycles: cycles,
@@ -390,89 +222,30 @@ impl Profiler {
             parent.child_insts += incl_i;
             parent.child_checks += incl_k;
         }
-        self.ring.push(TraceEvent {
-            kind: TraceEventKind::Return,
-            cycles,
-            a: fr.func as u64,
-            b: self.stack.len() as u64 + 1,
-        });
     }
 
     /// Ends the run: closes the pending op at the final cycle count and
     /// force-exits frames that never returned (trap unwind), so every
     /// call has a matching return and attribution sums telescope.
-    pub(crate) fn end_run(&mut self, cycles: u64, insts: u64, checks: u64, trapped: bool) {
+    pub(crate) fn end_run(&mut self, cycles: u64, insts: u64, checks: u64) {
         self.close_pending(cycles);
         while !self.stack.is_empty() {
             self.exit(cycles, insts, checks);
         }
-        if trapped {
-            self.ring.push(TraceEvent {
-                kind: TraceEventKind::Trap,
-                cycles,
-                a: 0,
-                b: 0,
-            });
-        }
     }
 
-    /// Resolves an engine-side check coordinate to `(func, site index)`.
-    fn site_index(&self, site: CheckSite) -> Option<(u32, u32)> {
-        match site {
-            CheckSite::Ir(func, block, ip) => {
-                self.ir_sites.get(&(func, block, ip)).map(|&i| (func, i))
-            }
-            CheckSite::Bc(func, pc) => self
-                .bc_sites
-                .as_ref()?
-                .get(func as usize)?
-                .get(&pc)
-                .map(|&i| (func, i)),
-        }
-    }
-
-    /// A CPI check is about to run at `site`.
-    pub(crate) fn check_attempt(&mut self, site: CheckSite, now: u64) {
-        let Some(key) = self.site_index(site) else {
+    /// A CPI check at `site` was attempted (`passed` false: a check is
+    /// counted when it starts) or passed; `image` numbers the site.
+    pub(crate) fn check(&mut self, image: &Image, site: CheckSite, passed: bool) {
+        let Some(site) = image.check_site(site) else {
             return;
         };
-        self.site_hits.entry(key).or_default().0 += 1;
-        self.ring.push(TraceEvent {
-            kind: TraceEventKind::Check,
-            cycles: now,
-            a: key.0 as u64,
-            b: key.1 as u64,
-        });
-    }
-
-    /// The CPI check at `site` passed.
-    pub(crate) fn check_pass(&mut self, site: CheckSite) {
-        if let Some(e) = self
-            .site_index(site)
-            .and_then(|key| self.site_hits.get_mut(&key))
-        {
-            e.1 += 1;
+        let hits = self.site_hits.entry(site).or_default();
+        if passed {
+            hits.1 += 1;
+        } else {
+            hits.0 += 1;
         }
-    }
-
-    /// A safe-pointer-store operation executed at `addr`.
-    pub(crate) fn store_op(&mut self, cycles: u64, addr: u64, is_load: bool) {
-        self.ring.push(TraceEvent {
-            kind: TraceEventKind::StoreOp,
-            cycles,
-            a: addr,
-            b: is_load as u64,
-        });
-    }
-
-    /// A safe-store page fault was charged near `addr`.
-    pub(crate) fn page_fault(&mut self, cycles: u64, addr: u64) {
-        self.ring.push(TraceEvent {
-            kind: TraceEventKind::PageFault,
-            cycles,
-            a: addr,
-            b: 0,
-        });
     }
 
     /// Snapshots the accumulated attribution into a serializable
@@ -537,9 +310,6 @@ impl Profiler {
             ops,
             funcs,
             check_sites,
-            func_names,
-            events: self.ring.events(),
-            dropped_events: self.ring.dropped,
             // The profiler doesn't see machine recycling; the machine
             // stamps its `last_reset_stats` in `profile_report`.
             reset: crate::stats::ResetStats::default(),
@@ -607,7 +377,7 @@ impl CheckSiteProfile {
 }
 
 /// The profiling result of one run: per-opcode, per-function and
-/// per-check-site attribution plus the trace-event ring.
+/// per-check-site attribution.
 ///
 /// Obtained from `Machine::profile_report` (or
 /// `levee_core::session::RunReport::profile` at the embedding layer;
@@ -628,12 +398,6 @@ pub struct ProfileReport {
     pub funcs: Vec<FuncProfile>,
     /// Per-check-site rows, sorted by attempts descending.
     pub check_sites: Vec<CheckSiteProfile>,
-    /// Function names by `FuncId` (resolves trace-event payloads).
-    pub func_names: Vec<String>,
-    /// The retained trace events, oldest first.
-    pub events: Vec<TraceEvent>,
-    /// Events dropped because the ring wrapped.
-    pub dropped_events: u64,
     /// What re-arming the machine for this run cost (the machine's
     /// `last_reset_stats` at report time; all-zero when the machine
     /// was never reset). Host-side bookkeeping — reset cost never
@@ -658,9 +422,7 @@ impl ProfileReport {
     }
 
     /// Renders the attribution tables as one JSON object (hand-rolled,
-    /// like every serializer in this codebase). Trace events are *not*
-    /// included — export them with
-    /// [`ProfileReport::chrome_trace_json`].
+    /// like every serializer in this codebase).
     pub fn to_json(&self) -> String {
         let esc = |s: &str| {
             let mut out = String::with_capacity(s.len() + 2);
@@ -726,14 +488,13 @@ impl ProfileReport {
             })
             .collect();
         format!(
-            "{{\"total_cycles\": {}, \"total_insts\": {}, \"dropped_events\": {}, \
+            "{{\"total_cycles\": {}, \"total_insts\": {}, \
              \"reset\": {{\"used_snapshot\": {}, \"pages_dirtied\": {}, \
              \"bytes_restored\": {}, \"store_bytes_restored\": {}, \
              \"meta_entries_dropped\": {}}}, \
              \"ops\": [{}], \"funcs\": [{}], \"check_sites\": [{}]}}",
             self.total_cycles,
             self.total_insts,
-            self.dropped_events,
             self.reset.used_snapshot,
             self.reset.pages_dirtied,
             self.reset.bytes_restored,
@@ -742,48 +503,6 @@ impl ProfileReport {
             ops.join(", "),
             funcs.join(", "),
             sites.join(", ")
-        )
-    }
-
-    /// Exports the trace-event ring in the Chrome trace-event format
-    /// (load the output in `chrome://tracing`, Perfetto or `speedscope`
-    /// for a flamegraph): calls/returns become duration begin/end
-    /// events, everything else instant events, with the simulated cycle
-    /// count as the microsecond timestamp.
-    pub fn chrome_trace_json(&self) -> String {
-        let name_of = |id: u64| -> String {
-            self.func_names
-                .get(id as usize)
-                .cloned()
-                .unwrap_or_else(|| format!("f{id}"))
-        };
-        let mut rows = Vec::with_capacity(self.events.len());
-        for ev in &self.events {
-            let row = match ev.kind {
-                TraceEventKind::Call => format!(
-                    "{{\"name\": \"{}\", \"ph\": \"B\", \"ts\": {}, \"pid\": 1, \"tid\": 1}}",
-                    name_of(ev.a).replace('"', ""),
-                    ev.cycles
-                ),
-                TraceEventKind::Return => format!(
-                    "{{\"name\": \"{}\", \"ph\": \"E\", \"ts\": {}, \"pid\": 1, \"tid\": 1}}",
-                    name_of(ev.a).replace('"', ""),
-                    ev.cycles
-                ),
-                kind => format!(
-                    "{{\"name\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \"ts\": {}, \
-                     \"pid\": 1, \"tid\": 1, \"args\": {{\"a\": {}, \"b\": {}}}}}",
-                    kind.name(),
-                    ev.cycles,
-                    ev.a,
-                    ev.b
-                ),
-            };
-            rows.push(row);
-        }
-        format!(
-            "{{\"traceEvents\": [{}], \"displayTimeUnit\": \"ms\"}}",
-            rows.join(", ")
         )
     }
 }
@@ -812,34 +531,13 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_newest_and_counts_drops() {
-        let mut r = TraceRing::new(3);
-        for i in 0..5u64 {
-            r.push(TraceEvent {
-                kind: TraceEventKind::Check,
-                cycles: i,
-                a: i,
-                b: 0,
-            });
-        }
-        let evs = r.events();
-        assert_eq!(evs.len(), 3);
-        assert_eq!(
-            evs.iter().map(|e| e.cycles).collect::<Vec<_>>(),
-            vec![2, 3, 4],
-            "oldest events drop first"
-        );
-        assert_eq!(r.dropped, 2);
-    }
-
-    #[test]
     fn op_attribution_telescopes_to_the_final_cycle_count() {
         let module = Module::new("t");
-        let mut p = Profiler::new(&module);
+        let mut p = Profiler::new(module.funcs.len());
         p.begin_run(0);
         p.dispatch(Op::Load as usize, 10); // startup window: 10 cycles
         p.dispatch(Op::Store as usize, 25); // Load window: 15
-        p.end_run(40, 3, 0, false); // Store window: 15
+        p.end_run(40, 3, 0); // Store window: 15
         let stats = ExecStats {
             cycles: 40,
             insts: 3,
@@ -862,13 +560,13 @@ mod tests {
         };
         module.add_func(f("outer"));
         module.add_func(f("inner"));
-        let mut p = Profiler::new(&module);
+        let mut p = Profiler::new(module.funcs.len());
         p.begin_run(0);
         p.enter(0, 10, 1, 0); // outer at cycle 10
         p.enter(1, 30, 3, 0); // inner at cycle 30
         p.exit(70, 7, 0); // inner: incl 40
         p.exit(100, 10, 0); // outer: incl 90, excl 50
-        p.end_run(100, 10, 0, false);
+        p.end_run(100, 10, 0);
         let stats = ExecStats {
             cycles: 100,
             ..Default::default()
@@ -889,13 +587,13 @@ mod tests {
         let mut b = FuncBuilder::new("rec", FnSig::new(vec![], Ty::Void));
         b.ret(None);
         module.add_func(b.finish());
-        let mut p = Profiler::new(&module);
+        let mut p = Profiler::new(module.funcs.len());
         p.begin_run(0);
         p.enter(0, 0, 0, 0);
         p.enter(0, 10, 0, 0); // recursive call
         p.exit(20, 0, 0); // inner: incl 10 (not added: still active below)
         p.exit(30, 0, 0); // outer: incl 30
-        p.end_run(30, 0, 0, false);
+        p.end_run(30, 0, 0);
         let stats = ExecStats::default();
         let r = p.report(&module, &stats);
         let rec = &r.funcs[0];
@@ -910,43 +608,26 @@ mod tests {
         let mut b = FuncBuilder::new("main", FnSig::new(vec![], Ty::Void));
         b.ret(None);
         module.add_func(b.finish());
-        let mut p = Profiler::new(&module);
+        let mut p = Profiler::new(module.funcs.len());
         p.begin_run(0);
         p.enter(0, 5, 1, 0);
-        p.end_run(50, 9, 2, true);
+        p.end_run(50, 9, 2);
         let stats = ExecStats {
             cycles: 50,
             ..Default::default()
         };
         let r = p.report(&module, &stats);
         assert_eq!(r.funcs[0].incl_cycles, 45);
-        assert!(matches!(
-            r.events.last().map(|e| e.kind),
-            Some(TraceEventKind::Trap)
-        ));
-        // Balanced call/return events even on the trap path.
-        let calls = r
-            .events
-            .iter()
-            .filter(|e| e.kind == TraceEventKind::Call)
-            .count();
-        let rets = r
-            .events
-            .iter()
-            .filter(|e| e.kind == TraceEventKind::Return)
-            .count();
-        assert_eq!(calls, rets);
+        assert_eq!(r.funcs[0].incl_insts, 8);
     }
 
     #[test]
-    fn report_json_is_balanced_and_chrome_export_shapes_up() {
+    fn report_json_is_balanced() {
         let module = Module::new("t");
-        let mut p = Profiler::new(&module);
+        let mut p = Profiler::new(module.funcs.len());
         p.begin_run(0);
         p.dispatch(Op::Check as usize, 4);
-        p.store_op(5, 0x1000, false);
-        p.page_fault(6, 0x2000);
-        p.end_run(10, 2, 1, true);
+        p.end_run(10, 2, 1);
         let stats = ExecStats {
             cycles: 10,
             insts: 2,
@@ -956,11 +637,5 @@ mod tests {
         let j = r.to_json();
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert!(j.contains("\"total_cycles\": 10"));
-        let c = r.chrome_trace_json();
-        assert_eq!(c.matches('{').count(), c.matches('}').count());
-        assert!(c.contains("\"traceEvents\""));
-        assert!(c.contains("store_op"));
-        assert!(c.contains("page_fault"));
-        assert!(c.contains("trap"));
     }
 }

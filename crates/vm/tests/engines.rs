@@ -75,8 +75,10 @@ fn assert_same(a: &RunReport, b: &RunReport, ctx: &str) {
 /// module is compiled once and the resident machine is rebuilt per
 /// engine via `Session::reconfigure`. Every configuration also runs a
 /// profile-on twin: the profiler is host-side observation only, so all
-/// simulated counters must be bit-identical with it on, and its per-op
-/// cycle attribution must telescope to exactly the run's cycle total.
+/// simulated counters must be bit-identical with it on, its per-op
+/// cycle attribution must telescope to exactly the run's cycle total,
+/// and the three twins must report the same check-site table (one
+/// numbering across the walker and the unfused and fused bytecode).
 /// Returns the (identical) report.
 fn differential(src: &str, config: BuildConfig, base: VmConfig, what: &str) -> RunReport {
     let mut session = Session::builder()
@@ -88,6 +90,7 @@ fn differential(src: &str, config: BuildConfig, base: VmConfig, what: &str) -> R
         .unwrap_or_else(|e| panic!("{what}: failed to build under {}: {e}", config.name()));
     let derived = session.vm_config();
     let mut runs = Vec::new();
+    let mut sites = Vec::new();
     for (cfg, name) in lineup(derived) {
         session.reconfigure(|c| *c = cfg);
         let plain = session.run(b"");
@@ -111,11 +114,17 @@ fn differential(src: &str, config: BuildConfig, base: VmConfig, what: &str) -> R
             report.total_insts, profiled.exec.insts,
             "{ctx}: instruction attribution must match the run total"
         );
+        sites.push(report.check_sites.clone());
         runs.push((plain, name));
     }
-    for (run, name) in &runs[1..] {
+    for ((run, name), table) in runs[1..].iter().zip(&sites[1..]) {
         let ctx = format!("{what} under {} [{name}]", config.name());
         assert_same(&runs[0].0, run, &ctx);
+        assert_eq!(
+            &sites[0], table,
+            "{ctx}: check-site table diverged from {}",
+            runs[0].1
+        );
     }
     runs.swap_remove(0).0
 }
@@ -477,19 +486,19 @@ fn fused_memory_ops_touch_the_same_sequence() {
                 session.enable_mem_trace();
                 let out = session.run(b"");
                 assert_eq!(out.status, ExitStatus::Exited(0), "{name} must succeed");
-                let tagged = session.mem_trace();
+                let tagged = session.machine().mem_trace();
                 assert!(
                     tagged.iter().any(|r| r.kind == TouchKind::Read)
                         && tagged.iter().any(|r| r.kind == TouchKind::Write),
                     "{name}: tagged log must classify reads and writes"
                 );
                 assert_eq!(
-                    session.mem_trace_addrs(),
+                    session.machine().mem_trace_addrs(),
                     levee_vm::touch_addrs(tagged),
                     "projection helpers must agree"
                 );
                 let tag = if profile { " profile-on" } else { "" };
-                logs.push((session.mem_trace_addrs(), format!("{name}{tag}")));
+                logs.push((session.machine().mem_trace_addrs(), format!("{name}{tag}")));
             }
         }
         assert!(!logs[0].0.is_empty(), "trace must record touches");

@@ -108,7 +108,10 @@ fn profile_session(name: &str) -> Session {
 
 fn verdict(session: &mut Session, engine: Engine, payload: &[u8]) -> (String, u64) {
     session.reconfigure(move |cfg| cfg.engine = engine);
-    let admin = session.func_entry("secret_admin").expect("exists");
+    let admin = session
+        .machine()
+        .func_entry("secret_admin")
+        .expect("exists");
     session.add_goal(admin, GoalKind::FuncReuse);
     let out = session.run(payload);
     let v = match &out.status {
@@ -128,7 +131,7 @@ fn main() {
         .vm_config(VmConfig::default())
         .build()
         .expect("compiles");
-    let admin = probe.func_entry("secret_admin").expect("exists");
+    let admin = probe.machine().func_entry("secret_admin").expect("exists");
     let mut payload = vec![0u8; 64];
     payload.extend_from_slice(&admin.to_le_bytes());
 

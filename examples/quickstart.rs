@@ -30,7 +30,7 @@ fn main() {
         .name("server")
         .build()
         .expect("compiles");
-    let system = vanilla.intrinsic_entry(Intrinsic::System);
+    let system = vanilla.machine().intrinsic_entry(Intrinsic::System);
     vanilla.add_goal(system, GoalKind::Ret2Libc);
 
     // 64 filler bytes reach the function-pointer slot; the payload
@@ -53,7 +53,7 @@ fn main() {
         .protection(config)
         .build()
         .expect("compiles");
-    let system = cpi.intrinsic_entry(Intrinsic::System);
+    let system = cpi.machine().intrinsic_entry(Intrinsic::System);
     cpi.add_goal(system, GoalKind::Ret2Libc);
 
     let out = cpi.run(&payload);

@@ -43,7 +43,7 @@ fn attack(annotated: bool, config: BuildConfig) -> String {
     // Forge a ucred with uid 0 *inside the request buffer*, then point
     // `active` at it: 8 bytes of fake record, padding, then the forged
     // pointer value (reqbuf's own address, learned from the binary).
-    let reqbuf = session.global_addr("reqbuf").expect("global");
+    let reqbuf = session.machine().global_addr("reqbuf").expect("global");
     let mut payload = Vec::new();
     payload.extend_from_slice(&0u32.to_le_bytes()); // fake uid = 0 (root!)
     payload.extend_from_slice(&0u32.to_le_bytes()); // fake gid

@@ -187,7 +187,7 @@ fn isolation_ablation_cpi_depends_on_isolation() {
         .configure(|cfg| cfg.isolation = Isolation::None)
         .build()
         .expect("builds");
-    let safe_stack_slot = session.layout().safe_stack_top() - 8;
+    let safe_stack_slot = session.machine().layout().safe_stack_top() - 8;
     assert!(
         session.attacker_write(safe_stack_slot, &[0xff; 8]).is_ok(),
         "without isolation the safe region is just memory"
@@ -198,7 +198,7 @@ fn isolation_ablation_cpi_depends_on_isolation() {
         Isolation::InfoHiding,
     ] {
         session.reconfigure(|cfg| cfg.isolation = iso);
-        let slot = session.layout().safe_stack_top() - 8;
+        let slot = session.machine().layout().safe_stack_top() - 8;
         assert!(session.attacker_write(slot, &[0xff; 8]).is_err(), "{iso:?}");
     }
 }
