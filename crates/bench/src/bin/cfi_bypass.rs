@@ -10,8 +10,7 @@
 
 use levee_bench::profile::profile_run;
 use levee_bench::{print_json_rows, BenchArgs, Table};
-use levee_core::session::json_str;
-use levee_core::BuildConfig;
+use levee_core::{json_str, BuildConfig};
 use levee_defenses::Deployment;
 use levee_ripe::{
     run_attack, AbuseFn, Attack, AttackResult, Location, Payload, Profile, Target, Technique,

@@ -137,17 +137,6 @@ pub fn render_profile(report: &ProfileReport, top: usize) -> String {
         ));
         out.push_str(&sites.render());
     }
-    // Machine-recycling cost (host-side; never part of the cycle
-    // attribution above). Only shown when a reset actually served this
-    // run — first runs of a session have nothing to report.
-    let r = &report.reset;
-    if r.used_snapshot {
-        out.push_str(&format!(
-            "\nsnapshot reset: {} pages dirtied, {} bytes restored, \
-             {} store bytes restored, {} meta entries dropped\n",
-            r.pages_dirtied, r.bytes_restored, r.store_bytes_restored, r.meta_entries_dropped
-        ));
-    }
     out
 }
 

@@ -55,9 +55,8 @@ pub mod session;
 pub mod stats;
 
 pub use driver::{build_module, build_source, BuildConfig, Built};
+pub use levee_vm::json_str;
 pub use pool::SessionPool;
 pub use sensitivity::{FnFlow, Mode, Sensitivity};
-pub use session::{
-    json_f64, json_str, LeveeError, RunReport, Session, SessionBuilder, DEFAULT_SEED,
-};
+pub use session::{json_f64, LeveeError, RunReport, Session, SessionBuilder, DEFAULT_SEED};
 pub use stats::{BuildStats, FuncInstrStats};

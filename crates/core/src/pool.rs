@@ -4,15 +4,16 @@
 //! CPI's runtime cost is paid per-request, so the honest scaling story
 //! for the paper's webserver claim (§5.3) is requests-per-second
 //! across cores. Nothing in the simulation is shared between two
-//! machines *except* the immutable program image, and PR 7's
+//! machines *except* the immutable program image, and the
 //! copy-on-write snapshot pages are already the natural cross-machine
-//! substrate: the pool compiles and protects the program **once**
-//! (one `Arc`-shared [`crate::driver::Built`]), boots one prototype
-//! machine, and forks it into N resident workers whose snapshot pages
-//! stay `Arc`-shared until a request dirties them. Each worker
-//! recycles per-request via `levee_vm::ResetMode::Snapshot`, paying
-//! only for its own dirt — the fork-per-request serving model, without
-//! the fork *or* the per-worker boot.
+//! substrate: the pool compiles and protects the program **once**,
+//! boots one prototype machine, whose load image owns the module and
+//! the bytecode, and forks it into N resident workers that share that
+//! image and whose snapshot pages stay `Arc`-shared until a request
+//! dirties them. Each worker recycles per-request via
+//! `levee_vm::ResetMode::Snapshot`, paying only for its own dirt — the
+//! fork-per-request serving model, without the fork *or* the
+//! per-worker boot.
 //!
 //! Determinism is the point, not an accident: every request is served
 //! from a pristine post-boot machine and stamped with its *own*
@@ -78,11 +79,11 @@ impl SessionPool {
     /// through [`Session::builder`]).
     ///
     /// The prototype is precompiled and forked `workers - 1` times —
-    /// each fork holds a strong reference to the same `Arc`-shared
-    /// build, shares the machine's load image (so all workers run the
-    /// one bytecode compile; see [`Session::fork`]) and shares the boot
-    /// snapshot's pages copy-on-write — and the prototype itself
-    /// becomes worker 0. `workers` is clamped to at least 1.
+    /// each fork shares the prototype's load image, so every worker
+    /// runs the one module and the one bytecode compile (see
+    /// [`Session::fork`]), and shares the boot snapshot's pages
+    /// copy-on-write — and the prototype itself becomes worker 0.
+    /// `workers` is clamped to at least 1.
     pub fn with_prototype(mut prototype: Session, workers: usize) -> SessionPool {
         let n = workers.max(1);
         prototype.precompile();

@@ -36,8 +36,8 @@ use levee_ir::verify::{verify_module, VerifyError};
 use levee_ir::Module;
 use levee_minic::CompileError;
 use levee_vm::{
-    AttackerError, Engine, ExecStats, ExitStatus, GoalKind, Machine, ProfileReport, ResetStats,
-    StoreKind, VmConfig,
+    json_str, Engine, ExecStats, ExitStatus, Machine, ProfileReport, ResetStats, StoreKind,
+    VmConfig,
 };
 
 use crate::driver::{build_source, BuildConfig, Built};
@@ -155,15 +155,16 @@ pub struct RunReport {
     pub output: String,
     /// Runtime counters (cycles are the "time" axis of every table).
     pub exec: ExecStats,
-    /// Compile-time statistics (Table 2's FNUStack / MO data).
-    pub build: BuildStats,
+    /// Compile-time statistics (Table 2's FNUStack / MO data), shared
+    /// with the session and every report it serves.
+    pub build: Arc<BuildStats>,
     /// Execution profile of the run — per-opcode, per-function and
     /// per-check-site attribution (see [`ProfileReport`]). `None`
     /// unless the session was built with [`SessionBuilder::profile`]
-    /// or [`Session::enable_profile`] was called. Profiling is a
-    /// host-side observation: the run's simulated cycles, instruction
-    /// counts, traps and touch sequences are bit-identical with the
-    /// profiler on or off.
+    /// or `Machine::enable_profile` was called through
+    /// [`Session::machine_mut`]. Profiling is a host-side observation:
+    /// the run's simulated cycles, instruction counts, traps and touch
+    /// sequences are bit-identical with the profiler on or off.
     pub profile: Option<ProfileReport>,
     /// What recycling the resident machine cost
     /// ([`Machine::last_reset_stats`]). For [`Session::run`] this is
@@ -184,14 +185,6 @@ impl RunReport {
     /// True for a clean `exit(0)`.
     pub fn success(&self) -> bool {
         self.status.is_success()
-    }
-
-    /// The exit code, if the program exited (rather than trapped).
-    pub fn exit_code(&self) -> Option<i64> {
-        match self.status {
-            ExitStatus::Exited(c) => Some(c),
-            ExitStatus::Trapped(_) => None,
-        }
     }
 
     /// Runtime overhead relative to `baseline`, in percent (simulated
@@ -280,10 +273,6 @@ impl RunReport {
     }
 }
 
-/// Escapes `s` as a JSON string literal (quotes included) — the
-/// escaper behind [`RunReport::to_json`], public so bench binaries
-/// embedding free-form text (trap names, `Debug` renderings) in their
-/// `--json` rows stay well-formed.
 /// Formats a float as a JSON value with `decimals` fixed decimals,
 /// mapping non-finite values to `null`: `NaN` (zero-baseline overhead
 /// percentages, 0-function builds) and `±inf` (zero-elapsed rates)
@@ -297,24 +286,6 @@ pub fn json_f64(x: f64, decimals: usize) -> String {
     } else {
         "null".to_string()
     }
-}
-
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A deferred configuration adjustment (see [`SessionBuilder::configure`]).
@@ -502,7 +473,8 @@ impl SessionBuilder {
 /// A built program with a resident machine: the system's front door for
 /// "run a protected program".
 ///
-/// The session owns the [`Built`] module and one loaded [`Machine`].
+/// The session owns one loaded [`Machine`], whose load image owns the
+/// built module, plus the build's protection level and statistics.
 /// Every [`run`] serves a fresh program execution from that resident
 /// machine — the first run uses it as loaded, later runs re-arm it
 /// with [`Machine::reset`], which is bit-identical to a fresh machine
@@ -511,49 +483,27 @@ impl SessionBuilder {
 /// [`run_batch`] the cheap way to serve many inputs: one compile, one
 /// module load, N executions.
 ///
+/// The machine borrows nothing, so [`Session::machine_mut`] hands it
+/// out for attack goals, attacker writes, the memory touch log and the
+/// profiler.
+///
 /// [`run`]: Session::run
 /// [`run_batch`]: Session::run_batch
 pub struct Session {
-    // SAFETY: the machine borrows the `Built` inside `built`, an
-    // `Arc` allocation this session holds a strong reference to — the
-    // owner-follows-borrower layout. The allocation's address is
-    // stable (moving the `Session` moves only the `Arc` pointer, never
-    // the pointee, and no retag of the allocation happens on a move),
-    // and its contents are never uniquely borrowed: no `&mut Built`
-    // exists anywhere (`Arc::get_mut`/`make_mut` are never called), so
-    // the machine's promoted `'static` shared borrow stays valid for
-    // as long as this session's strong reference — i.e. the machine's
-    // whole life. `Drop` tears the machine down strictly before the
-    // `Arc` field releases that reference (hence the `ManuallyDrop`).
-    //
-    // The `Arc` (rather than a raw `Box::into_raw` pointer, the
-    // previous layout) is what makes the session honestly `Send` and
-    // lets `SessionPool` workers share one immutable build: every
-    // fork holds its own strong reference to the same allocation.
-    machine: std::mem::ManuallyDrop<Machine<'static>>,
-    built: Arc<Built>,
+    machine: Machine<'static>,
+    protection: BuildConfig,
+    stats: Arc<BuildStats>,
     name: String,
-    cfg: VmConfig,
     ran: bool,
 }
 
 /// Sessions migrate whole into `SessionPool` worker threads; pin the
 /// `Send` guarantee at compile time (it follows from
-/// `Machine<'static>: Send` plus `Built` being plain shareable data).
+/// `Machine<'static>: Send`).
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<Session>();
 };
-
-impl Drop for Session {
-    fn drop(&mut self) {
-        // SAFETY: drop the borrower first; the `Arc` field then
-        // releases this session's reference to the allocation the
-        // machine was borrowing. `self.machine` is never touched again
-        // (we are in drop).
-        unsafe { std::mem::ManuallyDrop::drop(&mut self.machine) };
-    }
-}
 
 impl Session {
     /// Starts a fluent builder.
@@ -561,47 +511,36 @@ impl Session {
         SessionBuilder::new()
     }
 
+    /// Boots the machine on `built`'s module, moved into the load image.
     fn from_parts(name: String, built: Built, cfg: VmConfig) -> Session {
-        let built = Arc::new(built);
-        let module = Self::module_ref(&built);
-        let machine = std::mem::ManuallyDrop::new(Machine::new(module, cfg));
+        let Built {
+            module,
+            config,
+            stats,
+        } = built;
         Session {
-            machine,
-            built,
+            machine: Machine::from_shared(Arc::new(module), cfg),
+            protection: config,
+            stats: Arc::new(stats),
             name,
-            cfg,
             ran: false,
         }
     }
 
-    /// Promotes a borrow of the shared build's module to `'static`.
-    ///
-    /// SAFETY (of the promotion): the reference points into the `Arc`
-    /// allocation, whose address is stable and whose contents are
-    /// never uniquely borrowed; every caller stores the resulting
-    /// machine in a session that also holds a strong reference to
-    /// `built`, and drops the machine before releasing it (see the
-    /// struct-level comment).
-    fn module_ref(built: &Arc<Built>) -> &'static Module {
-        let module: &Module = &built.module;
-        unsafe { &*(module as *const Module) }
-    }
-
-    /// Forks this session for another worker: the build stays shared
-    /// (one more strong reference to the same `Arc<Built>`), the
-    /// machine is forked with [`Machine::fork`] — the load image and
-    /// copy-on-write snapshot pages shared, all mutable state private.
-    /// The image holds the bytecode, compiled once for the session and
-    /// all its forks: forking before the first compile is fine, since
-    /// whichever of them compiles first does it for all. The fork is
-    /// fully independent: it can run on another thread and never
-    /// observes the original's writes.
+    /// Forks this session for another worker with [`Machine::fork`]:
+    /// the load image (module and bytecode included), the build
+    /// statistics and the copy-on-write snapshot pages are shared, all
+    /// mutable state is private. The bytecode is compiled once for the
+    /// session and all its forks: forking before the first compile is
+    /// fine, since whichever of them compiles first does it for all.
+    /// The fork is fully independent: it can run on another thread and
+    /// never observes the original's writes.
     pub fn fork(&self) -> Session {
         Session {
-            machine: std::mem::ManuallyDrop::new(self.machine.fork()),
-            built: Arc::clone(&self.built),
+            machine: self.machine.fork(),
+            protection: self.protection,
+            stats: Arc::clone(&self.stats),
             name: self.name.clone(),
-            cfg: self.cfg,
             ran: self.ran,
         }
     }
@@ -616,19 +555,19 @@ impl Session {
         self.ran = true;
         let reset = self.machine.last_reset_stats();
         let out = self.machine.run(input);
-        let profile = self.machine.profile_report();
+        let cfg = self.machine.config();
         RunReport {
             name: self.name.clone(),
-            config: self.built.config,
-            engine: self.cfg.engine,
-            store: self.cfg.store_kind,
-            fusion: self.cfg.fusion,
-            seed: self.cfg.seed,
+            config: self.protection,
+            engine: cfg.engine,
+            store: cfg.store_kind,
+            fusion: cfg.fusion,
+            seed: cfg.seed,
             status: out.status,
             output: out.output,
             exec: out.stats,
-            build: self.built.stats.clone(),
-            profile,
+            build: Arc::clone(&self.stats),
+            profile: self.machine.profile_report(),
             reset,
         }
     }
@@ -691,19 +630,16 @@ impl Session {
         report
     }
 
-    /// Rebuilds the resident machine under an adjusted configuration
-    /// (same built module). The next [`Session::run`] starts from the
-    /// freshly-loaded state; attack goals and the memory-trace setting
-    /// do **not** carry over (they belong to the torn-down machine).
+    /// Rebuilds the resident machine under an adjusted copy of its
+    /// configuration, on the same module allocation. The next
+    /// [`Session::run`] starts from the freshly-loaded state; attack
+    /// goals and the memory-trace setting do **not** carry over (they
+    /// belong to the torn-down machine), while everything in the
+    /// [`VmConfig`] — profiling included — does.
     pub fn reconfigure(&mut self, f: impl FnOnce(&mut VmConfig)) {
-        f(&mut self.cfg);
-        // The replacement machine borrows the same shared build; the
-        // old machine is dropped by the assignment. (Under the old raw-
-        // pointer layout this rebuild re-derived a `&'static` from the
-        // raw allocation while the outgoing machine's borrow was still
-        // live — the aliasing hazard the `Arc` layout retires.)
-        let module = Self::module_ref(&self.built);
-        *self.machine = Machine::new(module, self.cfg);
+        let mut cfg = *self.machine.config();
+        f(&mut cfg);
+        self.machine = Machine::from_shared(Arc::clone(self.machine.module()), cfg);
         self.ran = false;
     }
 
@@ -726,14 +662,22 @@ impl Session {
 
     /// The resident machine, for read-only introspection: addresses
     /// (`func_entry`, `global_addr`, `intrinsic_entry`,
-    /// `ret_site_addrs`), the layout, attacker probes, the memory touch
-    /// log, fusion and snapshot statistics.
-    pub fn machine(&self) -> &Machine<'_> {
-        // `Machine` is covariant in its module lifetime (pinned in
-        // levee-vm), so `&'s Machine<'static>` shortens to
-        // `&'s Machine<'s>`, which cannot outlive this session's
-        // strong reference to the `Built` it borrows.
+    /// `ret_site_addrs`), the module, the configuration, the layout,
+    /// attacker probes, the memory touch log, fusion and snapshot
+    /// statistics.
+    pub fn machine(&self) -> &Machine<'static> {
         &self.machine
+    }
+
+    /// The resident machine, mutably: attack goals (`add_goal`, which
+    /// survive between-run resets but not [`Session::reconfigure`]),
+    /// attacker writes, the memory touch log (`enable_mem_trace`, which
+    /// survives resets; enable it again after a reconfigure) and the
+    /// profiler (`enable_profile`, which rides in the configuration and
+    /// so survives both). Runs and resets go through the session, which
+    /// tracks whether the machine needs re-arming.
+    pub fn machine_mut(&mut self) -> &mut Machine<'static> {
+        &mut self.machine
     }
 
     /// The program name.
@@ -741,49 +685,14 @@ impl Session {
         &self.name
     }
 
-    /// The built module and its statistics.
-    pub fn built(&self) -> &Built {
-        &self.built
-    }
-
     /// Compile-time statistics of the build.
     pub fn build_stats(&self) -> &BuildStats {
-        &self.built.stats
+        &self.stats
     }
 
     /// The machine's effective configuration.
     pub fn vm_config(&self) -> VmConfig {
-        self.cfg
-    }
-
-    /// Registers an attack goal: reaching `addr` by an indirect
-    /// transfer ends a run with `Trap::Hijacked`. Goals survive the
-    /// between-run reset (but not [`Session::reconfigure`]).
-    pub fn add_goal(&mut self, addr: u64, kind: GoalKind) {
-        self.machine.add_goal(addr, kind);
-    }
-
-    /// Models one direct attacker write to an arbitrary address —
-    /// the isolation-ablation probe (§3.2.3).
-    pub fn attacker_write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), AttackerError> {
-        self.machine.attacker_write(addr, bytes)
-    }
-
-    /// Starts recording the memory touch log (see
-    /// `Machine::enable_mem_trace`). Call again after
-    /// [`Session::reconfigure`]; the setting survives between-run
-    /// resets.
-    pub fn enable_mem_trace(&mut self) {
-        self.machine.enable_mem_trace();
-    }
-
-    /// Turns on execution profiling for subsequent runs (see
-    /// [`SessionBuilder::profile`]). Unlike the mem-trace knob the
-    /// setting rides in the [`VmConfig`], so it *does* survive
-    /// [`Session::reconfigure`] as well as between-run resets.
-    pub fn enable_profile(&mut self) {
-        self.cfg.profile = true;
-        self.machine.enable_profile();
+        *self.machine.config()
     }
 
     /// What the most recent between-run [`Machine::reset`] cost
@@ -998,10 +907,7 @@ mod tests {
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 
-    /// Aliasing-soundness lifecycle (the Miri CI gate runs these unit
-    /// tests): a session keeps serving after being moved — the
-    /// machine's promoted borrow points into the `Arc` allocation,
-    /// which never moves with the session value.
+    /// A session keeps serving after being moved, boxed and unboxed.
     #[test]
     fn moved_sessions_keep_serving() {
         let s = Session::builder().source(SRC).build().expect("builds");
@@ -1088,9 +994,53 @@ mod tests {
         assert_eq!(json_f64(0.0, 4), "0.0000");
     }
 
+    /// Two sessions swap machines and one is dropped: the machine it
+    /// handed over owns its module, so the survivor serves the other
+    /// program unchanged (the Miri CI job runs this test).
+    #[test]
+    fn swapped_machines_outlive_their_sessions() {
+        const OTHER: &str = "int main() { print_int(7); return 0; }";
+        let mut a = Session::builder().source(SRC).build().expect("builds");
+        let mut b = Session::builder().source(OTHER).build().expect("builds");
+        let a_report = a.run(b"ab");
+        std::mem::swap(a.machine_mut(), b.machine_mut());
+        drop(a);
+        b.reset(); // the machine arrives with `a`'s run in it
+        let swapped = b.run(b"ab");
+        assert_eq!(swapped.output, a_report.output);
+        assert_eq!(swapped.exec, a_report.exec);
+    }
+
+    /// The build moves the module into the machine's image; forks and
+    /// reconfigured machines run that same allocation.
+    #[test]
+    fn forks_and_reconfigures_reuse_the_built_module() {
+        let mut s = Session::builder().source(SRC).build().expect("builds");
+        let module = Arc::clone(s.machine().module());
+        let fork = s.fork();
+        assert!(Arc::ptr_eq(&module, fork.machine().module()), "fork");
+        assert!(Arc::ptr_eq(&s.stats, &fork.stats), "fork stats");
+        s.reconfigure(|cfg| cfg.engine = Engine::Walk);
+        assert!(Arc::ptr_eq(&module, s.machine().module()), "reconfigure");
+        let report = s.run(b"ab");
+        assert!(Arc::ptr_eq(&s.stats, &report.build), "report stats");
+    }
+
+    /// Profiling turned on through the machine rides in its
+    /// configuration, so a reconfigured machine keeps profiling.
+    #[test]
+    fn profiling_survives_reconfigure() {
+        let mut s = Session::builder().source(SRC).build().expect("builds");
+        s.machine_mut().enable_profile();
+        assert!(s.run(b"ab").profile.is_some());
+        s.reconfigure(|cfg| cfg.fusion = false);
+        assert!(s.vm_config().profile);
+        assert!(s.run(b"ab").profile.is_some());
+    }
+
     #[test]
     fn goals_survive_reset_between_runs() {
-        use levee_vm::Trap;
+        use levee_vm::{GoalKind, Trap};
         // Overflowable global buffer sitting right below a function
         // pointer — the quickstart's vulnerable server in miniature.
         let mut s = Session::builder()
@@ -1110,7 +1060,7 @@ mod tests {
             .build()
             .expect("builds");
         let system = s.machine().intrinsic_entry(levee_ir::Intrinsic::System);
-        s.add_goal(system, GoalKind::Ret2Libc);
+        s.machine_mut().add_goal(system, GoalKind::Ret2Libc);
         // First run: benign input, no hijack.
         assert!(s.run(b"hi").success());
         // Second run (machine reset in between): overflow into the

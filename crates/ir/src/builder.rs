@@ -50,11 +50,6 @@ impl FuncBuilder {
         self.cur = b;
     }
 
-    /// The current insertion block.
-    pub fn current_block(&self) -> BlockId {
-        self.cur
-    }
-
     /// True if the current block has been sealed with a terminator.
     pub fn current_sealed(&self) -> bool {
         self.sealed[self.cur.0 as usize]

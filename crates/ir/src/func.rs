@@ -52,15 +52,6 @@ pub struct Protection {
     pub ret_cfi: bool,
 }
 
-impl Protection {
-    /// True if the return address is stored outside regular memory and
-    /// therefore cannot be corrupted at all (as opposed to corruption
-    /// being *detected* by cookies/shadow stacks).
-    pub fn ret_addr_immune(&self) -> bool {
-        self.safestack
-    }
-}
-
 /// A function definition.
 ///
 /// Virtual registers `0..sig.params.len()` hold the arguments on entry;
@@ -211,11 +202,5 @@ mod tests {
     fn default_protection_is_unprotected() {
         let p = Protection::default();
         assert!(!p.stack_cookie && !p.shadow_stack && !p.safestack && !p.ret_cfi);
-        assert!(!p.ret_addr_immune());
-        let safe = Protection {
-            safestack: true,
-            ..Protection::default()
-        };
-        assert!(safe.ret_addr_immune());
     }
 }

@@ -524,19 +524,6 @@ impl Inst {
     }
 }
 
-impl Terminator {
-    /// Successor blocks of this terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Br(b) => vec![*b],
-            Terminator::CondBr {
-                then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Ret(_) | Terminator::Unreachable => vec![],
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,18 +570,6 @@ mod tests {
         });
         assert_eq!(i.dest(), Some(ValueId(9)));
         assert!(i.is_memory_op());
-    }
-
-    #[test]
-    fn terminator_successors() {
-        assert_eq!(Terminator::Br(BlockId(2)).successors(), vec![BlockId(2)]);
-        assert_eq!(Terminator::Ret(None).successors(), vec![]);
-        let c = Terminator::CondBr {
-            cond: Operand::Const(1),
-            then_bb: BlockId(0),
-            else_bb: BlockId(1),
-        };
-        assert_eq!(c.successors().len(), 2);
     }
 
     #[test]

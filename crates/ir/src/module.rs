@@ -137,11 +137,6 @@ impl Module {
         &self.funcs[id.0 as usize]
     }
 
-    /// Returns the function with the given id, mutably.
-    pub fn func_mut(&mut self, id: FuncId) -> &mut crate::func::Function {
-        &mut self.funcs[id.0 as usize]
-    }
-
     /// Returns the global with the given id.
     pub fn global(&self, id: GlobalId) -> &GlobalDef {
         &self.globals[id.0 as usize]

@@ -104,11 +104,6 @@ impl Ty {
         matches!(self, Ty::Ptr(_) | Ty::VoidPtr | Ty::FnPtr(_))
     }
 
-    /// Returns true for integer types.
-    pub fn is_integer(&self) -> bool {
-        matches!(self, Ty::I8 | Ty::I16 | Ty::I32 | Ty::I64)
-    }
-
     /// Returns true if this is the `char*` type. The CPI analysis treats
     /// `char*` as universal unless the string heuristic proves otherwise.
     pub fn is_char_ptr(&self) -> bool {

@@ -286,7 +286,7 @@ pub fn run_attack_with(
 
     // --- The exploit: same configuration, so the resident machine is
     // simply re-armed (goals survive the between-run reset). ---
-    session.add_goal(
+    session.machine_mut().add_goal(
         match attack.payload {
             Payload::Shellcode => dry_leak1,
             Payload::Ret2Libc => dry_system,

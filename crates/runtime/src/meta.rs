@@ -218,12 +218,6 @@ impl MetaTable {
         self.generation
     }
 
-    /// Host memory used by the arena (excluding the dedup index) — the
-    /// denominator when comparing against inline metadata storage.
-    pub fn arena_bytes(&self) -> usize {
-        self.entries.len() * std::mem::size_of::<Entry>()
-    }
-
     /// Drops every entry and invalidates all outstanding handles:
     /// subsequent [`MetaTable::get`] on an old handle returns `None`.
     ///
@@ -426,14 +420,5 @@ mod tests {
             assert_eq!(t.len(), 1);
         }
         assert_eq!(t.truncate_to(&mark), 0, "clean rewind drops nothing");
-    }
-
-    #[test]
-    fn arena_bytes_track_entries() {
-        let mut t = MetaTable::new();
-        assert_eq!(t.arena_bytes(), 0);
-        t.intern(Entry::code(1));
-        t.intern(Entry::code(2));
-        assert_eq!(t.arena_bytes(), 2 * std::mem::size_of::<Entry>());
     }
 }

@@ -6,8 +6,6 @@
 //! the hash-table store got slower because hashing scatters accesses).
 //! A set-associative LRU cache turns those effects into cycles.
 
-use crate::probe::{TouchKind, TouchRecord};
-
 /// Set-associative LRU cache over 64-byte lines.
 ///
 /// Tags live in one flat array (`sets × ways`, most-recent last within
@@ -20,16 +18,14 @@ pub struct Cache {
     set_mask: u64,
     hits: u64,
     misses: u64,
-    /// When enabled, every touch in access order as a tagged
-    /// [`TouchRecord`]. Every simulated memory touch — program
-    /// loads/stores, frame slots, safe-store traffic charged via
-    /// `Touched` — funnels through [`Cache::access`], so the trace is
-    /// the machine's complete memory touch log. Differential tests diff
-    /// its address projection to prove two executions performed the
-    /// *same accesses in the same order*, which is a strictly stronger
-    /// claim than equal totals; the read/write + width tags classify
-    /// the traffic for attribution.
-    trace: Option<Vec<TouchRecord>>,
+    /// When enabled, the address of every touch in access order. Every
+    /// simulated memory touch — program loads/stores, frame slots,
+    /// safe-store traffic charged via `Touched` — funnels through
+    /// [`Cache::access`], so the trace is the machine's complete memory
+    /// touch log. Differential tests diff it to prove two executions
+    /// performed the *same accesses in the same order*, which is a
+    /// strictly stronger claim than equal totals.
+    trace: Option<Vec<u64>>,
 }
 
 /// Tag value marking an empty way (no valid line has this tag because
@@ -68,16 +64,15 @@ impl Cache {
     }
 
     /// The recorded touch log, if tracing was enabled.
-    pub fn trace(&self) -> Option<&[TouchRecord]> {
+    pub fn trace(&self) -> Option<&[u64]> {
         self.trace.as_deref()
     }
 
-    /// Touches `addr`; returns true on hit. `kind` and `width` tag the
-    /// touch-log record and have no effect on the cache state.
+    /// Touches `addr`; returns true on hit.
     #[inline]
-    pub fn access(&mut self, addr: u64, kind: TouchKind, width: u8) -> bool {
+    pub fn access(&mut self, addr: u64) -> bool {
         if let Some(t) = &mut self.trace {
-            t.push(TouchRecord { addr, kind, width });
+            t.push(addr);
         }
         let line = addr / LINE;
         let set = (line & self.set_mask) as usize;
@@ -109,16 +104,6 @@ impl Cache {
         (self.hits, self.misses)
     }
 
-    /// Hit rate in [0, 1]; 1.0 when no accesses were made.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Clears contents, counters, and any recorded touch log —
     /// tracing stays *enabled* so a machine recycled by snapshot
     /// restore (`Machine::reset` in `levee-vm`) keeps logging exactly
@@ -136,93 +121,78 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::touch_addrs;
-
-    /// Shorthand: an 8-byte read (tags don't affect cache behavior).
-    fn acc(c: &mut Cache, addr: u64) -> bool {
-        c.access(addr, TouchKind::Read, 8)
-    }
 
     #[test]
     fn repeated_access_hits() {
         let mut c = Cache::default_l1();
-        assert!(!acc(&mut c, 0x1000)); // cold miss
-        assert!(acc(&mut c, 0x1000));
-        assert!(acc(&mut c, 0x1038)); // same 64-byte line
-        assert!(!acc(&mut c, 0x1040)); // next line
+        assert!(!c.access(0x1000)); // cold miss
+        assert!(c.access(0x1000));
+        assert!(c.access(0x1038)); // same 64-byte line
+        assert!(!c.access(0x1040)); // next line
         assert_eq!(c.stats(), (2, 2));
     }
 
     #[test]
     fn lru_eviction() {
         let mut c = Cache::new(1, 2); // one set, two ways
-        acc(&mut c, 0);
-        acc(&mut c, LINE);
-        acc(&mut c, 0); // refresh line 0
-        acc(&mut c, 2 * LINE); // evicts line 1 (LRU)
-        assert!(acc(&mut c, 0)); // still resident
-        assert!(!acc(&mut c, LINE)); // was evicted
+        c.access(0);
+        c.access(LINE);
+        c.access(0); // refresh line 0
+        c.access(2 * LINE); // evicts line 1 (LRU)
+        assert!(c.access(0)); // still resident
+        assert!(!c.access(LINE)); // was evicted
     }
 
     #[test]
     fn streaming_misses() {
         let mut c = Cache::default_l1();
         for i in 0..10_000u64 {
-            acc(&mut c, i * LINE * (DEFAULT_SETS as u64)); // all map to set 0
+            c.access(i * LINE * (DEFAULT_SETS as u64)); // all map to set 0
         }
-        assert!(c.hit_rate() < 0.01);
+        assert_eq!(c.stats(), (0, 10_000));
     }
 
     #[test]
     fn dense_loop_hits() {
         let mut c = Cache::default_l1();
-        // 1 KB working set fits easily.
+        // 1 KB working set fits easily: 16 cold line misses, then hits.
         for _ in 0..100 {
             for a in (0..1024u64).step_by(8) {
-                acc(&mut c, a);
+                c.access(a);
             }
         }
-        assert!(c.hit_rate() > 0.95);
+        assert_eq!(c.stats(), (100 * 128 - 16, 16));
     }
 
     #[test]
     fn reset_clears() {
         let mut c = Cache::default_l1();
-        acc(&mut c, 0);
+        c.access(0);
         c.reset();
         assert_eq!(c.stats(), (0, 0));
-        assert!(!acc(&mut c, 0));
+        assert!(!c.access(0));
     }
 
     #[test]
     fn reset_empties_trace_but_keeps_it_enabled() {
         let mut c = Cache::default_l1();
         c.enable_trace();
-        acc(&mut c, 0x40);
+        c.access(0x40);
         c.reset();
         assert_eq!(c.trace().unwrap(), &[]);
-        acc(&mut c, 0x80); // still recording after reset
-        assert_eq!(touch_addrs(c.trace().unwrap()), vec![0x80]);
+        c.access(0x80); // still recording after reset
+        assert_eq!(c.trace().unwrap(), &[0x80]);
     }
 
     #[test]
     fn trace_records_tagged_touches_in_order() {
         let mut c = Cache::default_l1();
-        acc(&mut c, 0x10); // before enabling: not recorded
+        c.access(0x10); // before enabling: not recorded
         c.enable_trace();
-        c.access(0x1000, TouchKind::Read, 8);
-        c.access(0x1000, TouchKind::Write, 4);
-        c.access(0x2008, TouchKind::Read, 1);
-        let trace = c.trace().unwrap();
-        assert_eq!(touch_addrs(trace), vec![0x1000, 0x1000, 0x2008]);
-        assert_eq!(
-            trace[1],
-            TouchRecord {
-                addr: 0x1000,
-                kind: TouchKind::Write,
-                width: 4
-            }
-        );
+        c.access(0x1000);
+        c.access(0x1000);
+        c.access(0x2008);
+        assert_eq!(c.trace().unwrap(), &[0x1000, 0x1000, 0x2008]);
         let untraced = Cache::default_l1();
         assert!(untraced.trace().is_none());
     }

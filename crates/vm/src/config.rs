@@ -221,16 +221,6 @@ impl VmConfig {
         }
     }
 
-    /// A configuration modelling a modern deployed baseline:
-    /// DEP + ASLR on (stack cookies are a per-function pass).
-    pub fn modern_baseline() -> Self {
-        VmConfig {
-            nx: true,
-            aslr: true,
-            ..Default::default()
-        }
-    }
-
     /// Returns self with the given seed (builder style).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -263,13 +253,6 @@ impl VmConfig {
         self
     }
 
-    /// Returns self with the given pointer-authentication mode (builder
-    /// style).
-    pub fn with_pac(mut self, pac: PacMode) -> Self {
-        self.pac = pac;
-        self
-    }
-
     /// Returns self with the given PAC tag width (builder style),
     /// clamped to `1..=16`.
     pub fn with_pac_tag_bits(mut self, bits: u8) -> Self {
@@ -286,8 +269,6 @@ mod tests {
     fn presets() {
         let legacy = VmConfig::legacy_unprotected();
         assert!(!legacy.nx && !legacy.aslr);
-        let modern = VmConfig::modern_baseline();
-        assert!(modern.nx && modern.aslr);
         let seeded = VmConfig::default().with_seed(42);
         assert_eq!(seeded.seed, 42);
     }
@@ -318,8 +299,6 @@ mod tests {
         let d = VmConfig::default();
         assert_eq!(d.pac, PacMode::Off);
         assert_eq!(d.pac_tag_bits, 16);
-        let p = VmConfig::default().with_pac(PacMode::Tight);
-        assert_eq!(p.pac, PacMode::Tight);
         assert_eq!(VmConfig::default().with_pac_tag_bits(0).pac_tag_bits, 1);
         assert_eq!(VmConfig::default().with_pac_tag_bits(8).pac_tag_bits, 8);
         assert_eq!(VmConfig::default().with_pac_tag_bits(64).pac_tag_bits, 16);

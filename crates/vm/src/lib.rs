@@ -50,9 +50,7 @@ pub use config::{Engine, HardwareModel, Isolation, PacMode, ResetMode, VmConfig}
 pub use levee_bc::FuseStats;
 pub use levee_rt::StoreKind;
 pub use machine::{AttackerError, GuessOutcome, Machine, RunOutcome, PAC_PTR_MASK, V};
-pub use probe::{
-    touch_addrs, CheckSiteProfile, FuncProfile, OpProfile, ProfileReport, TouchKind, TouchRecord,
-};
+pub use probe::{json_str, CheckSiteProfile, FuncProfile, OpProfile, ProfileReport};
 pub use stats::{ExecStats, ResetStats};
 pub use trap::{CpiViolationKind, ExitStatus, GoalKind, Trap};
 

@@ -59,22 +59,6 @@ impl<'m> Machine<'m> {
         Ok(())
     }
 
-    /// Arbitrary attacker read of regular memory (info-leak primitive).
-    pub fn attacker_read(&self, addr: u64, len: u64) -> Result<Vec<u8>, AttackerError> {
-        let mut out = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            let a = addr + i;
-            if self.layout.in_safe_region(a) && self.config.isolation != Isolation::None {
-                return Err(AttackerError::IsolationBlocked);
-            }
-            match self.mem.read_u8(a) {
-                Ok(b) => out.push(b),
-                Err(_) => return Err(AttackerError::Unmapped),
-            }
-        }
-        Ok(out)
-    }
-
     /// One guessing attempt against the hidden safe region: the attacker
     /// picks an address and dereferences it through a corrupted pointer.
     pub fn attacker_guess(&self, addr: u64) -> GuessOutcome {
@@ -94,20 +78,6 @@ impl<'m> Machine<'m> {
     /// hiding: the denominator of a guessing attack's success chance.
     pub fn guess_space(&self) -> u64 {
         crate::layout::Layout::safe_base_candidates()
-    }
-
-    /// Direct corruption helper for tests: overwrite the return-address
-    /// slot of the *current deepest* frame, as a contiguous stack
-    /// overflow would. Returns the slot address, or `None` when the slot
-    /// is on the safe stack (immune by construction).
-    pub fn smash_return_address(&mut self, value: u64) -> Option<u64> {
-        let frame = self.run.frames.last()?;
-        let slot = frame.ret_slot;
-        if frame.desc.safestack {
-            return None;
-        }
-        self.attacker_write(slot, &value.to_le_bytes()).ok()?;
-        Some(slot)
     }
 
     /// Runs the machine until just before `main` returns, then lets a
@@ -130,7 +100,9 @@ impl<'m> Machine<'m> {
     {
         self.run.input = input.to_vec();
         self.run.input_pos = 0;
-        let main = self.image.module.func_by_name("main").expect("main exists");
+        let image = std::sync::Arc::clone(&self.image);
+        let module = &image.module;
+        let main = module.func_by_name("main").expect("main exists");
         if let Err(trap) = self.enter_main(main) {
             return super::RunOutcome {
                 status: crate::trap::ExitStatus::Trapped(trap),
@@ -140,7 +112,7 @@ impl<'m> Machine<'m> {
         }
         let mut status = None;
         for _ in 0..steps_before {
-            match self.step() {
+            match self.step(module) {
                 Ok(Some(exit)) => {
                     status = Some(exit);
                     break;
@@ -155,7 +127,7 @@ impl<'m> Machine<'m> {
         if status.is_none() {
             corrupt(self);
             status = Some(loop {
-                match self.step() {
+                match self.step(module) {
                     Ok(Some(exit)) => break exit,
                     Ok(None) => {}
                     Err(t) => break crate::trap::ExitStatus::Trapped(t),

@@ -9,9 +9,7 @@
 use levee_bc::FrameDesc;
 use levee_ir::prelude::*;
 
-use crate::config::Isolation;
 use crate::layout;
-use crate::probe::TouchKind;
 use crate::trap::{ExitStatus, Trap};
 
 use super::ops::Callee;
@@ -67,7 +65,7 @@ impl<'m> Machine<'m> {
         let ret_slot = if desc.safestack {
             self.run.safe_sp -= 8;
             let slot = self.run.safe_sp;
-            self.charge_mem(slot, false, TouchKind::Write, 8);
+            self.charge_mem(slot, false);
             self.mem
                 .write_uint(slot, ret_addr, 8)
                 .map_err(|_| Trap::StackOverflow)?;
@@ -87,7 +85,7 @@ impl<'m> Machine<'m> {
             } else {
                 ret_addr
             };
-            self.charge_mem(slot, true, TouchKind::Write, 8);
+            self.charge_mem(slot, true);
             self.mem
                 .write_uint(slot, word, 8)
                 .map_err(|_| Trap::StackOverflow)?;
@@ -98,7 +96,7 @@ impl<'m> Machine<'m> {
         let cookie_slot = if desc.cookie {
             self.run.sp -= 8;
             let slot = self.run.sp;
-            self.charge_mem(slot, true, TouchKind::Write, 8);
+            self.charge_mem(slot, true);
             self.mem
                 .write_uint(slot, self.image.cookie, 8)
                 .map_err(|_| Trap::StackOverflow)?;
@@ -154,7 +152,7 @@ impl<'m> Machine<'m> {
         // 1. Cookie check (epilogue), on the conventional stack only.
         if cookie_slot != 0 {
             self.charge_check();
-            self.charge_mem(cookie_slot, true, TouchKind::Read, 8);
+            self.charge_mem(cookie_slot, true);
             let got = self
                 .mem
                 .read_uint(cookie_slot, 8)
@@ -166,7 +164,7 @@ impl<'m> Machine<'m> {
 
         // 2. Load the return address from its memory slot. This is the
         // value an overflow may have corrupted (unless on safe stack).
-        self.charge_mem(slot, !desc.safestack, TouchKind::Read, 8);
+        self.charge_mem(slot, !desc.safestack);
         let loaded = self
             .mem
             .read_uint(slot, 8)
@@ -387,7 +385,7 @@ impl<'m> Machine<'m> {
             // token, like any other sensitive pointer.
             let meta = self.meta.intern(levee_rt::Entry::code(token));
             let t = self.store.set(buf.raw, levee_rt::Slot::new(token, meta));
-            self.charge_store_touches(t, TouchKind::Write);
+            self.charge_store_touches(t);
         } else {
             // Under PAC the jmp_buf's code pointer is sealed in place,
             // bound to the buffer slot under `-fpac-tight` — jmp_buf
@@ -412,7 +410,7 @@ impl<'m> Machine<'m> {
     pub(crate) fn do_longjmp(&mut self, buf: V, val: V) -> Result<(), Trap> {
         let token = if self.config.protect_runtime_code_ptrs {
             let (slot, t) = self.store.get(buf.raw);
-            self.charge_store_touches(t, TouchKind::Read);
+            self.charge_store_touches(t);
             // The loaded slot must still carry live code provenance for
             // its word (the §3.3 exact-match rule, off the handle).
             let code = slot.and_then(|s| {
@@ -479,21 +477,6 @@ impl<'m> Machine<'m> {
             return Err(Trap::StackOverflow);
         }
         Ok(())
-    }
-
-    /// Is an address on one of the attacker-reachable stacks? (Exposed
-    /// for attack harnesses that classify corruption targets.)
-    pub fn on_regular_stacks(&self, addr: u64) -> bool {
-        let reg = (self.layout.stack_top - layout::STACK_LIMIT)..self.layout.stack_top;
-        let uns = (self.layout.unsafe_stack_top - layout::UNSAFE_STACK_LIMIT)
-            ..self.layout.unsafe_stack_top;
-        reg.contains(&addr) || uns.contains(&addr)
-    }
-
-    /// Would the active isolation mechanism block a regular access to
-    /// `addr`? (Exposed for isolation experiments.)
-    pub fn isolation_blocks(&self, addr: u64) -> bool {
-        self.layout.in_safe_region(addr) && self.config.isolation != Isolation::None
     }
 }
 

@@ -5,7 +5,6 @@
 use levee_ir::prelude::*;
 use levee_rt::Slot;
 
-use crate::probe::TouchKind;
 use crate::trap::{CpiViolationKind, Trap};
 
 use super::{CheckSite, Machine, V};
@@ -99,7 +98,7 @@ impl<'m> Machine<'m> {
         match slot {
             Some(s) => {
                 let t = self.store.set(addr, s);
-                self.charge_store_touches(t, TouchKind::Write);
+                self.charge_store_touches(t);
                 self.run.stats.store_entries_peak = self
                     .run
                     .stats
@@ -117,7 +116,7 @@ impl<'m> Machine<'m> {
                 // the regular region, mark the safe store `none` (the
                 // paper's dual-storage rule).
                 let t = self.store.clear(addr);
-                self.charge_store_touches(t, TouchKind::Write);
+                self.charge_store_touches(t);
                 self.prog_write(addr, v.raw, 8, MemSpace::Regular)
             }
         }
@@ -130,7 +129,7 @@ impl<'m> Machine<'m> {
     pub(crate) fn op_ptr_load(&mut self, policy: Policy, addr: u64) -> Result<V, Trap> {
         self.run.stats.cpi_mem_ops += 1;
         let (slot, t) = self.store.get(addr);
-        self.charge_store_touches(t, TouchKind::Read);
+        self.charge_store_touches(t);
         match slot {
             Some(s) => {
                 if self.config.debug_dual_store {
@@ -163,7 +162,7 @@ impl<'m> Machine<'m> {
     pub(crate) fn op_safe_memcpy(&mut self, dst: u64, src: u64, len: u64) -> Result<(), Trap> {
         self.bulk_copy(dst, src, len)?;
         let (copied, t) = self.store.copy_range(dst, src, len);
-        self.charge_store_touches(t, TouchKind::Write);
+        self.charge_store_touches(t);
         self.run.stats.cycles += (len / 8) * self.config.cost.store_op + copied;
         Ok(())
     }
@@ -173,7 +172,7 @@ impl<'m> Machine<'m> {
     pub(crate) fn op_safe_memset(&mut self, dst: u64, byte: u8, len: u64) -> Result<(), Trap> {
         self.bulk_fill(dst, byte, len)?;
         let t = self.store.clear_range(dst, len);
-        self.charge_store_touches(t, TouchKind::Write);
+        self.charge_store_touches(t);
         self.run.stats.cycles += (len / 8) * self.config.cost.store_op;
         Ok(())
     }
@@ -221,9 +220,9 @@ impl<'m> Machine<'m> {
     fn charge_bulk(&mut self, len: u64, a: u64, b: u64) {
         let lines = len / 64 + 1;
         for i in 0..lines {
-            self.charge_mem(a + i * 64, true, TouchKind::Write, 8);
+            self.charge_mem(a + i * 64, true);
             if b != a {
-                self.charge_mem(b + i * 64, true, TouchKind::Read, 8);
+                self.charge_mem(b + i * 64, true);
             }
         }
         self.run.stats.cycles += len / 8;

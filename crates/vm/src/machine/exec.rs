@@ -15,14 +15,15 @@ use super::ops::{cast, cmp, Callee};
 use super::{CheckSite, Machine, V};
 
 impl<'m> Machine<'m> {
-    /// Executes one instruction or terminator. Returns `Some(exit)` when
-    /// the program finished.
-    pub(crate) fn step(&mut self) -> Result<Option<ExitStatus>, Trap> {
+    /// Executes one instruction or terminator of `module` (the image's,
+    /// borrowed through a handle the caller holds for the whole run).
+    /// Returns `Some(exit)` when the program finished.
+    pub(crate) fn step(&mut self, module: &Module) -> Result<Option<ExitStatus>, Trap> {
         // Profiler dispatch seam (mirrors the bytecode loop's): close
         // the previous op's cycle window, open this one's. Observation
         // only — no charge depends on it.
         if self.probe.is_some() {
-            let (op, now) = (self.current_op_index(), self.run.stats.cycles);
+            let (op, now) = (self.current_op_index(module), self.run.stats.cycles);
             if let Some(p) = self.probe.as_deref_mut() {
                 p.dispatch(op, now);
             }
@@ -33,7 +34,6 @@ impl<'m> Machine<'m> {
             return Err(Trap::OutOfFuel);
         }
 
-        let module = self.image.module;
         let frame = self.frame();
         let func = module.func(frame.func);
         let block = func.block(frame.block);
@@ -43,7 +43,7 @@ impl<'m> Machine<'m> {
         }
         let inst = &block.insts[frame.ip];
         self.frame_mut().ip += 1;
-        self.exec_inst(inst)?;
+        self.exec_inst(inst, &module.types)?;
         Ok(None)
     }
 
@@ -51,9 +51,9 @@ impl<'m> Machine<'m> {
     /// shared opcode space (`levee_bc::Op`) so both engines report
     /// per-opcode attribution in the same vocabulary. The walker never
     /// executes fused superinstructions, so those slots stay zero.
-    fn current_op_index(&self) -> usize {
+    fn current_op_index(&self, module: &Module) -> usize {
         let frame = self.frame();
-        let block = self.image.module.func(frame.func).block(frame.block);
+        let block = module.func(frame.func).block(frame.block);
         let op = if frame.ip >= block.insts.len() {
             match &block.term {
                 Terminator::Br(_) => Op::Jump,
@@ -116,9 +116,7 @@ impl<'m> Machine<'m> {
         Ok(None)
     }
 
-    fn exec_inst(&mut self, inst: &Inst) -> Result<(), Trap> {
-        let module = self.image.module;
-        let types = &module.types;
+    fn exec_inst(&mut self, inst: &Inst, types: &TypeTable) -> Result<(), Trap> {
         let (dest, v) = match inst {
             Inst::Alloca {
                 dest,

@@ -1,17 +1,18 @@
-//! The load image: everything the loader derives from a module and a
-//! configuration that no run can change.
+//! The load image: the module and everything the loader derives from
+//! it and a configuration that no run can change.
 //!
 //! In the paper's threat model (§2) code and read-only data are
-//! immutable, and the loader write-protects them. The tables that
-//! describe that image — where each function and global lives, which
-//! addresses are return sites, each function's frame descriptor, the
-//! check-site numbering and the compiled bytecode — are therefore
-//! built once per [`Machine::new`](super::Machine::new) and shared,
-//! behind an `Arc`, by every fork, snapshot restore and loader reset
-//! of that machine.
+//! immutable, and the loader write-protects them. The image holds the
+//! module behind an `Arc` (machines booted from one module under other
+//! configurations share it) and the tables that describe its layout —
+//! where each function and global lives, which addresses are return
+//! sites, each function's frame descriptor, the check-site numbering
+//! and the compiled bytecode. They are built once per boot and shared,
+//! behind an `Arc`, by every fork, snapshot restore and loader reset of
+//! that machine, so a machine borrows nothing.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use levee_bc::{op_len, BcModule, FrameDesc, FuseStats, Op};
 use levee_ir::prelude::*;
@@ -48,8 +49,8 @@ pub(crate) struct Compiled {
 }
 
 /// The immutable half of a machine (see the module docs).
-pub(crate) struct Image<'m> {
-    pub module: &'m Module,
+pub(crate) struct Image {
+    pub module: Arc<Module>,
     /// The layout the tables below were computed against (fixed, or
     /// drawn from the seed).
     pub layout: Layout,
@@ -88,11 +89,11 @@ pub(crate) struct Image<'m> {
     compiled: OnceLock<Compiled>,
 }
 
-impl<'m> Image<'m> {
+impl Image {
     /// Lays `module` out under `config`: draws the layout and cookie
     /// from the seed, places every function, return site, intrinsic and
     /// global, and numbers the check sites.
-    pub fn new(module: &'m Module, config: &VmConfig) -> Self {
+    pub fn new(module: Arc<Module>, config: &VmConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5afe_5afe);
         let layout = if config.aslr || config.isolation == Isolation::InfoHiding {
             Layout::randomized(&mut rng, config.aslr)
@@ -100,7 +101,6 @@ impl<'m> Image<'m> {
             Layout::fixed()
         };
         let mut image = Image {
-            module,
             layout,
             cookie: rng.gen::<u64>() | 1,
             pac_key: pac_mix(config.seed ^ 0x5EA1_C0DE_5EA1_C0DE),
@@ -117,6 +117,7 @@ impl<'m> Image<'m> {
             check_sites: HashMap::default(),
             fusion: config.fusion,
             compiled: OnceLock::new(),
+            module,
         };
         // Code layout: program functions low, the libc (intrinsic) block
         // high — and only the libc block moves under ASLR (non-PIE).
@@ -126,7 +127,7 @@ impl<'m> Image<'m> {
                 .intrinsic_addrs
                 .insert(*intr, libc_base + 64 + i as u64 * 16);
         }
-        for (fid, f) in module.iter_funcs() {
+        for (fid, f) in image.module.iter_funcs() {
             let entry = Self::entry(fid);
             image.func_addrs.push(entry);
             image.entry_to_func.insert(entry, fid);
@@ -152,8 +153,8 @@ impl<'m> Image<'m> {
         }
         let mut ro_cursor = layout.rodata_base;
         let mut rw_cursor = layout.data_base;
-        for g in &module.globals {
-            let size = module.types.size_of(&g.ty).max(1);
+        for g in &image.module.globals {
+            let size = image.module.types.size_of(&g.ty).max(1);
             let cursor = if g.read_only {
                 &mut ro_cursor
             } else {
@@ -193,7 +194,7 @@ impl<'m> Image<'m> {
     /// one compile.
     pub fn compiled(&self) -> &Compiled {
         self.compiled.get_or_init(|| {
-            let mut bc = levee_bc::compile(self.module);
+            let mut bc = levee_bc::compile(&self.module);
             let fuse_stats = if self.fusion {
                 levee_bc::fuse(&mut bc)
             } else {

@@ -3,7 +3,6 @@
 
 use levee_ir::prelude::*;
 
-use crate::probe::TouchKind;
 use crate::trap::Trap;
 
 use super::{Machine, V};
@@ -170,14 +169,14 @@ impl<'m> Machine<'m> {
 
     pub(crate) fn read_byte(&mut self, addr: u64) -> Result<u8, Trap> {
         self.isolation_check(addr, MemSpace::Regular)?;
-        self.charge_mem(addr, true, TouchKind::Read, 1);
+        self.charge_mem(addr, true);
         self.run.stats.mem_ops += 1;
         self.mem.read_u8(addr).map_err(Self::mem_trap)
     }
 
     pub(crate) fn write_byte(&mut self, addr: u64, b: u8) -> Result<(), Trap> {
         self.isolation_check(addr, MemSpace::Regular)?;
-        self.charge_mem(addr, true, TouchKind::Write, 1);
+        self.charge_mem(addr, true);
         self.run.stats.mem_ops += 1;
         self.mem.write_u8(addr, b).map_err(Self::mem_trap)
     }

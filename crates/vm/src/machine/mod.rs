@@ -15,13 +15,14 @@
 //!
 //! A [`Machine`] has three parts, each with one owner:
 //!
-//! * the load image (`image.rs`): what the loader derives from the
-//!   module and the configuration — function, return-site, intrinsic
-//!   and global addresses, frame descriptors, signature hashes, the
-//!   check-site numbering, the cookie, the PAC key and the lazily
-//!   compiled bytecode. It never changes after [`Machine::new`], so
-//!   forks, snapshot restores and loader resets share it behind an
-//!   `Arc`;
+//! * the load image (`image.rs`): the module, held by `Arc`, and what
+//!   the loader derives from it and the configuration — function,
+//!   return-site, intrinsic and global addresses, frame descriptors,
+//!   signature hashes, the check-site numbering, the cookie, the PAC
+//!   key and the lazily compiled bytecode. It never changes after boot,
+//!   so forks, snapshot restores and loader resets share it behind an
+//!   `Arc`, and a machine borrows nothing: `Machine<'static>` is an
+//!   owned value that can move between threads and owners;
 //! * the copy-on-write components — [`Memory`], [`Heap`], the safe
 //!   pointer store, the provenance [`MetaTable`] and the [`Cache`] —
 //!   each with its own capture and restore;
@@ -44,6 +45,7 @@ mod intrinsics;
 mod ops;
 
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use levee_bc::FrameDesc;
@@ -55,7 +57,7 @@ use crate::config::{Engine, Isolation, PacMode, ResetMode, VmConfig};
 use crate::heap::Heap;
 use crate::layout::{self, Layout};
 use crate::mem::{MemError, Memory};
-use crate::probe::{touch_addrs, ProfileReport, Profiler, TouchKind, TouchRecord};
+use crate::probe::{ProfileReport, Profiler};
 use crate::stats::{ExecStats, ResetStats};
 use crate::trap::{ExitStatus, GoalKind, Trap};
 
@@ -183,20 +185,10 @@ pub struct RunOutcome {
     pub output: String,
 }
 
-impl RunOutcome {
-    /// Exit code if the run exited cleanly.
-    pub fn exit_code(&self) -> Option<i64> {
-        match self.status {
-            ExitStatus::Exited(c) => Some(c),
-            _ => None,
-        }
-    }
-}
-
 /// The virtual machine: a load image, copy-on-write components and a
 /// run state (see the module docs).
 pub struct Machine<'m> {
-    pub(crate) image: Arc<Image<'m>>,
+    pub(crate) image: Arc<Image>,
     pub(crate) config: VmConfig,
     pub(crate) layout: Layout,
     pub(crate) mem: Memory,
@@ -234,6 +226,11 @@ pub struct Machine<'m> {
     /// What the most recent [`Machine::reset`] cost; all-zero before
     /// the first reset.
     last_reset: ResetStats,
+    /// The only use of `'m`. A machine owns its module through the
+    /// image, so the lifetime constrains nothing; it stays because the
+    /// benchmark package (`perfbench/`) names `Machine<'_>`, and goes
+    /// with the next change to the benchmark.
+    _module: PhantomData<&'m Module>,
 }
 
 /// Everything a run moves. [`RunState::rearm`] puts it back to its
@@ -290,24 +287,25 @@ impl RunState {
 /// non-`Send` field (e.g. a store without the `Send` supertrait)
 /// cannot regress it silently. Forks on other threads share one
 /// [`Image`], so it must be `Sync` too.
-///
-/// `levee_core::Session::machine` shortens a `&Machine<'static>` to a
-/// `&'s Machine<'s>`, which is sound only while `Machine` is covariant
-/// in `'m`; `shorten` stops compiling if a field makes it invariant.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     fn assert_sync<T: Sync>() {}
     assert_send::<Machine<'static>>();
-    assert_sync::<Image<'static>>();
-    fn shorten<'s>(m: &'s Machine<'static>) -> &'s Machine<'s> {
-        m
-    }
-    let _ = shorten;
+    assert_sync::<Image>();
 };
 
 impl<'m> Machine<'m> {
-    /// Loads `module` into a fresh machine with the given config.
+    /// Loads a copy of `module` into a fresh machine with the given
+    /// config: the image owns its module, so this clones it. Callers
+    /// that already hold the module in an `Arc` boot with
+    /// [`Machine::from_shared`], which does not.
     pub fn new(module: &'m Module, config: VmConfig) -> Self {
+        Self::from_shared(Arc::new(module.clone()), config)
+    }
+
+    /// Loads `module` into a fresh machine with the given config. The
+    /// machine shares the module with every other holder of the `Arc`.
+    pub fn from_shared(module: Arc<Module>, config: VmConfig) -> Self {
         Self::boot(
             Arc::new(Image::new(module, &config)),
             config,
@@ -315,11 +313,12 @@ impl<'m> Machine<'m> {
         )
     }
 
-    /// Shared constructor behind [`Machine::new`] and [`Machine::reset`]:
-    /// loads `image` into a fresh machine around an existing provenance
-    /// table (reset passes the old table with its generation already
-    /// bumped, so handles minted before the reset stay invalid).
-    fn boot(image: Arc<Image<'m>>, config: VmConfig, meta: MetaTable) -> Self {
+    /// Shared constructor behind [`Machine::from_shared`] and
+    /// [`Machine::reset`]: loads `image` into a fresh machine around an
+    /// existing provenance table (reset passes the old table with its
+    /// generation already bumped, so handles minted before the reset
+    /// stay invalid).
+    fn boot(image: Arc<Image>, config: VmConfig, meta: MetaTable) -> Self {
         let layout = image.layout;
         let mut m = Machine {
             image,
@@ -338,6 +337,7 @@ impl<'m> Machine<'m> {
             reg_pool: Vec::new(),
             snapshot: None,
             last_reset: ResetStats::default(),
+            _module: PhantomData,
         };
         m.rearm();
         m.load();
@@ -419,7 +419,20 @@ impl<'m> Machine<'m> {
             reg_pool: Vec::new(),
             snapshot: self.snapshot.clone(),
             last_reset: ResetStats::default(),
+            _module: PhantomData,
         }
+    }
+
+    /// The module this machine runs, shared with its forks and with
+    /// every machine booted from the same `Arc`.
+    pub fn module(&self) -> &Arc<Module> {
+        &self.image.module
+    }
+
+    /// The configuration this machine was booted with (and
+    /// [`Machine::enable_profile`] may have adjusted).
+    pub fn config(&self) -> &VmConfig {
+        &self.config
     }
 
     /// The layout of this execution (fixed or randomized).
@@ -468,26 +481,20 @@ impl<'m> Machine<'m> {
         self.run.stats
     }
 
-    /// Starts recording the memory touch log: every simulated memory
-    /// access (program loads/stores, frame slots, safe-store traffic —
-    /// everything the cache model sees) in execution order. Differential
-    /// suites diff the logs of two configurations to prove they perform
-    /// identical access *sequences*, not merely identical totals.
+    /// Starts recording the memory touch log: the address of every
+    /// simulated memory access (program loads/stores, frame slots,
+    /// safe-store traffic — everything the cache model sees) in
+    /// execution order. Differential suites diff the logs of two
+    /// configurations to prove they perform identical access
+    /// *sequences*, not merely identical totals.
     pub fn enable_mem_trace(&mut self) {
         self.cache.enable_trace();
     }
 
-    /// The recorded memory touch log — tagged [`TouchRecord`]s (empty
+    /// The recorded memory touch log, one address per access (empty
     /// unless [`Machine::enable_mem_trace`] was called before running).
-    pub fn mem_trace(&self) -> &[TouchRecord] {
+    pub fn mem_trace(&self) -> &[u64] {
         self.cache.trace().unwrap_or(&[])
-    }
-
-    /// The address projection of the touch log — the shape the
-    /// touch-log *sequence* diff tests compare (see
-    /// [`crate::probe::touch_addrs`]).
-    pub fn mem_trace_addrs(&self) -> Vec<u64> {
-        touch_addrs(self.mem_trace())
     }
 
     /// Attaches the execution profiler for subsequent runs (equivalent
@@ -501,16 +508,11 @@ impl<'m> Machine<'m> {
     }
 
     /// The profiling report of the last run (`None` unless profiling
-    /// was enabled before it). The report carries
-    /// [`Machine::last_reset_stats`] in [`ProfileReport::reset`] so
-    /// `--profile` renderings can show what recycling the machine for
-    /// this run cost.
+    /// was enabled before it).
     pub fn profile_report(&self) -> Option<ProfileReport> {
-        self.probe.as_ref().map(|p| {
-            let mut report = p.report(self.image.module, &self.run.stats);
-            report.reset = self.last_reset;
-            report
-        })
+        self.probe
+            .as_ref()
+            .map(|p| p.report(&self.image.module, &self.run.stats))
     }
 
     /// Superinstruction fusion plan counts, recorded when the module
@@ -633,7 +635,7 @@ impl<'m> Machine<'m> {
     /// interns the code and data provenance handles.
     fn load(&mut self) {
         let image = Arc::clone(&self.image);
-        let module = image.module;
+        let module = &image.module;
         let func_area = Image::func_area();
         for entry in &image.func_addrs {
             self.func_meta.push(self.meta.intern(Entry::code(*entry)));
@@ -786,8 +788,11 @@ impl<'m> Machine<'m> {
     }
 
     fn run_loop(&mut self) -> ExitStatus {
+        // One module handle per run, so each step borrows the IR while
+        // `&mut self` methods run.
+        let image = Arc::clone(&self.image);
         loop {
-            match self.step() {
+            match self.step(&image.module) {
                 Ok(Some(exit)) => return exit,
                 Ok(None) => {}
                 Err(trap) => return exit_status(trap),
@@ -815,14 +820,11 @@ impl<'m> Machine<'m> {
     /// Charges one data-memory access at `addr` (cache + SFI mask).
     /// The SFI mask is a single ALU op that pipelines with the access;
     /// we amortize it as one cycle per three masked accesses.
-    ///
-    /// `kind`/`width` tag the touch-log record only — they never affect
-    /// the charge.
     #[inline(always)]
-    pub(crate) fn charge_mem(&mut self, addr: u64, regular: bool, kind: TouchKind, width: u8) {
+    pub(crate) fn charge_mem(&mut self, addr: u64, regular: bool) {
         let cost = &self.config.cost;
         let mut cycles = cost.mem_hit;
-        if !self.cache.access(addr, kind, width) {
+        if !self.cache.access(addr) {
             cycles += cost.mem_miss;
         }
         if regular && self.config.isolation == Isolation::Sfi {
@@ -834,13 +836,10 @@ impl<'m> Machine<'m> {
         self.run.stats.cycles += cycles;
     }
 
-    /// Charges the safe-store traffic described by `touched`; `kind`
-    /// tags the touch log (store writes vs lookups read the same slot
-    /// addresses).
-    pub(crate) fn charge_store_touches(&mut self, touched: levee_rt::Touched, kind: TouchKind) {
-        const SLOT_W: u8 = levee_rt::SLOT_SIZE as u8;
+    /// Charges the safe-store traffic described by `touched`.
+    pub(crate) fn charge_store_touches(&mut self, touched: levee_rt::Touched) {
         for addr in touched.iter() {
-            self.charge_mem(addr, false, kind, SLOT_W);
+            self.charge_mem(addr, false);
         }
         // Touches beyond the recorded sample (range operations, probe
         // chains) are charged as sequential slot-sized accesses
@@ -848,7 +847,7 @@ impl<'m> Machine<'m> {
         if touched.spill > 0 {
             let base = touched.iter().last().unwrap_or_else(|| self.store.base());
             for i in 1..=touched.spill as u64 {
-                self.charge_mem(base + i * levee_rt::SLOT_SIZE, false, kind, SLOT_W);
+                self.charge_mem(base + i * levee_rt::SLOT_SIZE, false);
             }
         }
         if touched.page_fault {
@@ -1022,12 +1021,7 @@ impl<'m> Machine<'m> {
     #[inline(always)]
     pub(crate) fn prog_read(&mut self, addr: u64, size: u64, space: MemSpace) -> Result<u64, Trap> {
         self.isolation_check(addr, space)?;
-        self.charge_mem(
-            addr,
-            space == MemSpace::Regular,
-            TouchKind::Read,
-            size as u8,
-        );
+        self.charge_mem(addr, space == MemSpace::Regular);
         self.mem.read_uint(addr, size).map_err(Self::mem_trap)
     }
 
@@ -1041,12 +1035,7 @@ impl<'m> Machine<'m> {
         space: MemSpace,
     ) -> Result<(), Trap> {
         self.isolation_check(addr, space)?;
-        self.charge_mem(
-            addr,
-            space == MemSpace::Regular,
-            TouchKind::Write,
-            size as u8,
-        );
+        self.charge_mem(addr, space == MemSpace::Regular);
         self.mem
             .write_uint(addr, value, size)
             .map_err(Self::mem_trap)
@@ -1126,16 +1115,18 @@ mod tests {
     }
 
     /// Forks and both reset modes keep the image they started with; only
-    /// `Machine::new` builds one.
+    /// a boot builds one, and a boot from a shared module keeps sharing
+    /// it.
     #[test]
     fn forks_and_resets_share_the_image() {
         let mut module = Module::new("t");
         let mut b = FuncBuilder::new("main", FnSig::new(vec![], Ty::I32));
         b.ret(Some(Operand::Const(0)));
         module.add_func(b.finish());
+        let module = Arc::new(module);
         for mode in [ResetMode::Snapshot, ResetMode::Loader] {
             let config = VmConfig::default().with_reset_mode(mode);
-            let mut m = Machine::new(&module, config);
+            let mut m = Machine::from_shared(Arc::clone(&module), config);
             let image = Arc::clone(&m.image);
             assert!(Arc::ptr_eq(&image, &m.fork().image), "{mode:?}: fork");
             m.run(b"");
@@ -1145,8 +1136,9 @@ mod tests {
                 mode == ResetMode::Snapshot
             );
             assert!(Arc::ptr_eq(&image, &m.image), "{mode:?}: reset");
-            let fresh = Machine::new(&module, config);
-            assert!(!Arc::ptr_eq(&image, &fresh.image), "{mode:?}: new");
+            let fresh = Machine::from_shared(Arc::clone(&module), config);
+            assert!(!Arc::ptr_eq(&image, &fresh.image), "{mode:?}: boot");
+            assert!(Arc::ptr_eq(&module, fresh.module()), "{mode:?}: module");
         }
     }
 }

@@ -44,53 +44,6 @@ pub const N_OPS: usize = 31;
 const STARTUP_SLOT: usize = N_OPS;
 
 // ---------------------------------------------------------------------------
-// Tagged memory-touch records (the promoted `Machine::mem_trace`)
-// ---------------------------------------------------------------------------
-
-/// Direction of one simulated memory touch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TouchKind {
-    /// The touch read simulated memory.
-    Read,
-    /// The touch wrote simulated memory.
-    Write,
-}
-
-impl TouchKind {
-    /// Short label used in reports ("R" / "W").
-    pub fn label(self) -> &'static str {
-        match self {
-            TouchKind::Read => "R",
-            TouchKind::Write => "W",
-        }
-    }
-}
-
-/// One entry of the memory touch log: every simulated access the cache
-/// model sees, tagged with its direction and access width in bytes.
-///
-/// Differential suites diff the *address projection* of two logs (see
-/// [`touch_addrs`]) to prove two configurations perform identical
-/// access sequences; the tags exist for attribution — classifying
-/// traffic as loads vs stores and by width without re-running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TouchRecord {
-    /// The touched simulated address.
-    pub addr: u64,
-    /// Read or write.
-    pub kind: TouchKind,
-    /// Access width in bytes (1–16; safe-store slots are 16).
-    pub width: u8,
-}
-
-/// Projects a tagged touch log onto its address sequence — the shape
-/// the touch-log *sequence* diff tests compare (tags are attribution
-/// metadata; the architectural claim is about addresses in order).
-pub fn touch_addrs(records: &[TouchRecord]) -> Vec<u64> {
-    records.iter().map(|r| r.addr).collect()
-}
-
-// ---------------------------------------------------------------------------
 // The profiler
 // ---------------------------------------------------------------------------
 
@@ -310,9 +263,6 @@ impl Profiler {
             ops,
             funcs,
             check_sites,
-            // The profiler doesn't see machine recycling; the machine
-            // stamps its `last_reset_stats` in `profile_report`.
-            reset: crate::stats::ResetStats::default(),
         }
     }
 }
@@ -398,11 +348,6 @@ pub struct ProfileReport {
     pub funcs: Vec<FuncProfile>,
     /// Per-check-site rows, sorted by attempts descending.
     pub check_sites: Vec<CheckSiteProfile>,
-    /// What re-arming the machine for this run cost (the machine's
-    /// `last_reset_stats` at report time; all-zero when the machine
-    /// was never reset). Host-side bookkeeping — reset cost never
-    /// enters the cycle attribution above.
-    pub reset: crate::stats::ResetStats,
 }
 
 impl ProfileReport {
@@ -424,30 +369,13 @@ impl ProfileReport {
     /// Renders the attribution tables as one JSON object (hand-rolled,
     /// like every serializer in this codebase).
     pub fn to_json(&self) -> String {
-        let esc = |s: &str| {
-            let mut out = String::with_capacity(s.len() + 2);
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-            out
-        };
         let ops: Vec<String> = self
             .ops
             .iter()
             .map(|o| {
                 format!(
                     "{{\"op\": {}, \"count\": {}, \"cycles\": {}}}",
-                    esc(&o.name),
+                    json_str(&o.name),
                     o.count,
                     o.cycles
                 )
@@ -461,7 +389,7 @@ impl ProfileReport {
                     "{{\"func\": {}, \"calls\": {}, \"incl_cycles\": {}, \
                      \"excl_cycles\": {}, \"incl_insts\": {}, \"excl_insts\": {}, \
                      \"incl_checks\": {}, \"excl_checks\": {}}}",
-                    esc(&f.name),
+                    json_str(&f.name),
                     f.calls,
                     f.incl_cycles,
                     f.excl_cycles,
@@ -479,7 +407,7 @@ impl ProfileReport {
                 format!(
                     "{{\"func\": {}, \"site\": {}, \"attempts\": {}, \"passes\": {}, \
                      \"misses\": {}}}",
-                    esc(&s.func),
+                    json_str(&s.func),
                     s.site,
                     s.attempts,
                     s.passes,
@@ -489,17 +417,9 @@ impl ProfileReport {
             .collect();
         format!(
             "{{\"total_cycles\": {}, \"total_insts\": {}, \
-             \"reset\": {{\"used_snapshot\": {}, \"pages_dirtied\": {}, \
-             \"bytes_restored\": {}, \"store_bytes_restored\": {}, \
-             \"meta_entries_dropped\": {}}}, \
              \"ops\": [{}], \"funcs\": [{}], \"check_sites\": [{}]}}",
             self.total_cycles,
             self.total_insts,
-            self.reset.used_snapshot,
-            self.reset.pages_dirtied,
-            self.reset.bytes_restored,
-            self.reset.store_bytes_restored,
-            self.reset.meta_entries_dropped,
             ops.join(", "),
             funcs.join(", "),
             sites.join(", ")
@@ -507,28 +427,32 @@ impl ProfileReport {
     }
 }
 
+/// Escapes `s` as a JSON string literal (quotes included) — the escaper
+/// behind [`ProfileReport::to_json`] and levee-core's
+/// `RunReport::to_json`, public so bench binaries embedding free-form
+/// text (trap names, `Debug` renderings) in their `--json` rows stay
+/// well-formed.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn touch_projection_strips_tags() {
-        let recs = [
-            TouchRecord {
-                addr: 0x10,
-                kind: TouchKind::Read,
-                width: 8,
-            },
-            TouchRecord {
-                addr: 0x20,
-                kind: TouchKind::Write,
-                width: 1,
-            },
-        ];
-        assert_eq!(touch_addrs(&recs), vec![0x10, 0x20]);
-        assert_eq!(TouchKind::Read.label(), "R");
-        assert_eq!(TouchKind::Write.label(), "W");
-    }
 
     #[test]
     fn op_attribution_telescopes_to_the_final_cycle_count() {

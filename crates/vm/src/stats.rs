@@ -76,17 +76,6 @@ pub struct ResetStats {
 }
 
 impl ExecStats {
-    /// Fraction of memory operations that were instrumented — the MO
-    /// column of Table 2, measured dynamically.
-    pub fn instrumented_mem_fraction(&self) -> f64 {
-        let total = self.mem_ops + self.cpi_mem_ops;
-        if total == 0 {
-            0.0
-        } else {
-            self.cpi_mem_ops as f64 / total as f64
-        }
-    }
-
     /// Overhead of `self` relative to a baseline run, in percent
     /// (positive = slower). A degenerate baseline (zero cycles) yields
     /// `f64::NAN`, *not* `0.0` — a broken baseline must not read as "no
@@ -144,17 +133,6 @@ mod tests {
             ..Default::default()
         };
         assert!(fast.overhead_pct(&base) < 0.0);
-    }
-
-    #[test]
-    fn instrumented_fraction() {
-        let s = ExecStats {
-            mem_ops: 935,
-            cpi_mem_ops: 65,
-            ..Default::default()
-        };
-        assert!((s.instrumented_mem_fraction() - 0.065).abs() < 1e-9);
-        assert_eq!(ExecStats::default().instrumented_mem_fraction(), 0.0);
     }
 
     #[test]

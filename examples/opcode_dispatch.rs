@@ -112,7 +112,7 @@ fn verdict(session: &mut Session, engine: Engine, payload: &[u8]) -> (String, u6
         .machine()
         .func_entry("secret_admin")
         .expect("exists");
-    session.add_goal(admin, GoalKind::FuncReuse);
+    session.machine_mut().add_goal(admin, GoalKind::FuncReuse);
     let out = session.run(payload);
     let v = match &out.status {
         ExitStatus::Trapped(Trap::Hijacked { .. }) => "HIJACKED — attacker ran secret_admin".into(),

@@ -31,7 +31,7 @@ fn main() {
         .build()
         .expect("compiles");
     let system = vanilla.machine().intrinsic_entry(Intrinsic::System);
-    vanilla.add_goal(system, GoalKind::Ret2Libc);
+    vanilla.machine_mut().add_goal(system, GoalKind::Ret2Libc);
 
     // 64 filler bytes reach the function-pointer slot; the payload
     // overwrites it with system()'s address.
@@ -54,7 +54,7 @@ fn main() {
         .build()
         .expect("compiles");
     let system = cpi.machine().intrinsic_entry(Intrinsic::System);
-    cpi.add_goal(system, GoalKind::Ret2Libc);
+    cpi.machine_mut().add_goal(system, GoalKind::Ret2Libc);
 
     let out = cpi.run(&payload);
     println!(

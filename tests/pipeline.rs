@@ -189,7 +189,10 @@ fn isolation_ablation_cpi_depends_on_isolation() {
         .expect("builds");
     let safe_stack_slot = session.machine().layout().safe_stack_top() - 8;
     assert!(
-        session.attacker_write(safe_stack_slot, &[0xff; 8]).is_ok(),
+        session
+            .machine_mut()
+            .attacker_write(safe_stack_slot, &[0xff; 8])
+            .is_ok(),
         "without isolation the safe region is just memory"
     );
     for iso in [
@@ -199,7 +202,8 @@ fn isolation_ablation_cpi_depends_on_isolation() {
     ] {
         session.reconfigure(|cfg| cfg.isolation = iso);
         let slot = session.machine().layout().safe_stack_top() - 8;
-        assert!(session.attacker_write(slot, &[0xff; 8]).is_err(), "{iso:?}");
+        let write = session.machine_mut().attacker_write(slot, &[0xff; 8]);
+        assert!(write.is_err(), "{iso:?}");
     }
 }
 
