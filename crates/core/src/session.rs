@@ -746,6 +746,25 @@ mod tests {
         }
     }
 
+    /// A cast to `void` defines a register of a type with no size; the
+    /// verifier rejects the module instead of an engine panicking on
+    /// its frame layout.
+    #[test]
+    fn verbatim_cast_to_void_is_a_typed_error() {
+        use levee_ir::prelude::*;
+        let mut module = Module::new("hand");
+        let mut b = FuncBuilder::new("main", FnSig::new(vec![], Ty::I32));
+        b.cast(CastKind::IntToInt, Operand::Const(1), Ty::Void);
+        b.ret(Some(Operand::Const(0)));
+        module.add_func(b.finish());
+        match Session::builder().module(module).name("hand").build() {
+            Err(LeveeError::Verify { errors, .. }) => {
+                assert!(errors.iter().any(|e| e.msg.contains("void-typed")));
+            }
+            other => panic!("expected Verify, got {other:?}", other = other.err()),
+        }
+    }
+
     #[test]
     fn malformed_source_is_a_typed_error_not_a_panic() {
         let err = Session::builder()

@@ -143,6 +143,13 @@ fn verify_func(m: &Module, f: &Function, errs: &mut Vec<VerifyError>) {
 }
 
 fn verify_inst(m: &Module, f: &Function, bid: BlockId, inst: &Inst, err: &mut impl FnMut(String)) {
+    // A register holds a value, and `void` has none: a void call
+    // defines no register, so nothing may define a void-typed one.
+    if let Some(d) = inst.dest() {
+        if f.locals.get(d.0 as usize) == Some(&Ty::Void) {
+            err(format!("bb{}: %{} is void-typed", bid.0, d.0));
+        }
+    }
     match inst {
         Inst::Load { ty, .. } | Inst::Store { ty, .. } if !ty.is_scalar() => {
             err(format!("bb{}: load/store of non-scalar type {ty}", bid.0));
@@ -195,7 +202,7 @@ mod tests {
     use super::*;
     use crate::builder::FuncBuilder;
     use crate::func::Function;
-    use crate::inst::{BinOp, MemSpace};
+    use crate::inst::{BinOp, CastKind, MemSpace};
     use crate::types::FnSig;
 
     fn module_with_main() -> Module {
@@ -321,5 +328,24 @@ mod tests {
         m.add_func(b.finish());
         let errs = verify_module(&m);
         assert!(errs.iter().any(|e| e.msg.contains("passes 0 args")));
+    }
+
+    /// `void` has no size, so a void-typed register would reach the
+    /// engines' frame layout; the verifier rejects it instead.
+    #[test]
+    fn void_typed_result_is_flagged() {
+        let mut m = module_with_main();
+        let mut f = Function::new("bad", FnSig::new(vec![], Ty::Void));
+        let d = f.new_local(Ty::Void);
+        f.blocks[0].insts.push(Inst::Cast {
+            dest: d,
+            kind: CastKind::IntToInt,
+            value: Operand::Const(1),
+            to: Ty::Void,
+        });
+        f.blocks[0].term = Terminator::Ret(None);
+        m.add_func(f);
+        let errs = verify_module(&m);
+        assert!(errs.iter().any(|e| e.msg.contains("%0 is void-typed")));
     }
 }

@@ -495,7 +495,7 @@ impl<'a> FnCx<'a> {
                 Ok(())
             }
             Stmt::Expr(e) => {
-                self.rvalue(e)?;
+                self.expr(e)?;
                 Ok(())
             }
             Stmt::If {
@@ -573,7 +573,7 @@ impl<'a> FnCx<'a> {
                 }
                 self.b.switch_to(step_bb);
                 if let Some(s) = step {
-                    self.rvalue(s)?;
+                    self.expr(s)?;
                 }
                 self.b.br(header);
                 self.b.switch_to(exit);
@@ -725,7 +725,19 @@ impl<'a> FnCx<'a> {
 
     // ---- rvalues ----------------------------------------------------------
 
+    /// Lowers `e` for its value: a `void` expression has none.
     fn rvalue(&mut self, e: &Expr) -> Result<RV, CompileError> {
+        let rv = self.expr(e)?;
+        if rv.ty == CTy::Void {
+            return Err(CompileError::ty(e.line, "void value used"));
+        }
+        Ok(rv)
+    }
+
+    /// Lowers `e`, which may be a `void` expression evaluated for its
+    /// effects (an expression statement, or the operand of a cast to
+    /// `void`).
+    fn expr(&mut self, e: &Expr) -> Result<RV, CompileError> {
         match &e.kind {
             ExprKind::IntLit(v) => Ok(RV::scalar(*v, CTy::Long)),
             ExprKind::CharLit(c) => Ok(RV::scalar(*c as i64, CTy::Char)),
@@ -768,7 +780,7 @@ impl<'a> FnCx<'a> {
             ExprKind::Index(..) | ExprKind::Member(..) => self.load_lvalue(e),
             ExprKind::Call(callee, args) => self.lower_call(callee, args, e.line),
             ExprKind::Cast(to, inner) => {
-                let rv = self.rvalue(inner)?;
+                let rv = self.expr(inner)?;
                 self.lower_cast(rv, to, e.line)
             }
             ExprKind::Sizeof(ty) => {
@@ -964,6 +976,13 @@ impl<'a> FnCx<'a> {
     }
 
     fn lower_cast(&mut self, rv: RV, to: &CTy, line: u32) -> Result<RV, CompileError> {
+        // `(void)e` only discards the already evaluated operand.
+        if *to == CTy::Void {
+            return Ok(RV::scalar(0, CTy::Void));
+        }
+        if rv.ty == CTy::Void {
+            return Err(CompileError::ty(line, "void value used"));
+        }
         let to_ir = self.cx.cty_to_ir(to, line)?;
         let from_ptr = matches!(rv.ty, CTy::Ptr(_) | CTy::FnPtr(..));
         let to_ptr = matches!(to, CTy::Ptr(_) | CTy::FnPtr(..));

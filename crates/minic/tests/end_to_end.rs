@@ -1,9 +1,9 @@
 //! End-to-end frontend tests: compile mini-C and execute on the VM,
 //! through the `levee_core::Session` embedding API.
 
-use levee_core::{LeveeError, Session};
+use levee_core::{BuildConfig, LeveeError, Session};
 use levee_minic::compile;
-use levee_vm::ExitStatus;
+use levee_vm::{Engine, ExitStatus};
 
 /// Compiles and runs, asserting clean exit; returns the output.
 fn run(src: &str) -> String {
@@ -397,12 +397,42 @@ fn compile_errors_are_reported() {
         "int f(int a); int main() { return f(1, 2); }",
         "struct s { struct s inner; };",
         "int malloc(int x) { return x; }",
+        "void g() { } int main() { long y = g(); return 0; }",
+        "int main() { return (long)(void)1; }",
     ] {
         assert!(compile(bad, "t").is_err());
         match Session::builder().source(bad).name("t").build() {
             Err(LeveeError::Compile { name, .. }) => assert_eq!(name, "t"),
             Err(other) => panic!("expected Compile error, got {other}"),
             Ok(_) => panic!("must not build: {bad}"),
+        }
+    }
+}
+
+/// `(void)e` evaluates `e` and discards it: no cast to a sizeless type
+/// reaches either engine.
+#[test]
+fn void_cast_discards_its_operand() {
+    let src = r#"
+        long n;
+        void bump() { n = n + 1; }
+        int main() { long x = 1; (void)x; (void)bump(); (void)(n = n + x); return n; }
+    "#;
+    for protection in [BuildConfig::Vanilla, BuildConfig::Cpi] {
+        for engine in Engine::all() {
+            let mut session = Session::builder()
+                .source(src)
+                .name("t")
+                .protection(protection)
+                .engine(*engine)
+                .build()
+                .expect("compiles");
+            let out = session.run(b"");
+            assert_eq!(
+                out.status,
+                ExitStatus::Exited(2),
+                "{protection:?} {engine:?}"
+            );
         }
     }
 }

@@ -13,9 +13,19 @@
 //! halves the simulated footprint of a dense working set and halves the
 //! page-fault/TLB pressure the 4 KB configuration suffers from.
 //!
-//! Pages live in a [`CowPages`] table; its module doc states the
-//! copy-on-write snapshot invariant. This module adds slot indexing and
-//! the live-slot count.
+//! The page size is the *simulated* grain: it decides page faults, the
+//! memory footprint, the bytes a snapshot restore reports and the
+//! simulated slot addresses the cache model sees. The *host* grain is a
+//! chunk of 256 slots (one simulated 4 KB of slots), allocated on the
+//! first write into it, so a simulated page is a directory of chunks.
+//! A served request that faults in a 2 MB page and drops it at the
+//! restore then costs the host the slots it writes, not a 3 MB vector,
+//! and splitting a baseline page copies its directory and the chunks it
+//! holds.
+//!
+//! Pages live in a [`CowPages`] table keyed by simulated page; its module
+//! doc states the copy-on-write snapshot invariant. This module adds slot
+//! indexing, the chunk directory and the live-slot count.
 
 use crate::pages::CowPages;
 use crate::store::{PtrStore, Slot, Touched, SLOT_SIZE};
@@ -25,6 +35,47 @@ use crate::store::{PtrStore, Slot, Touched, SLOT_SIZE};
 /// direct tier: safe-store operations run on every instrumented memory
 /// access, so the lookup is hot.
 const DIRECT_KEYS: u64 = 1 << 31;
+
+/// Slots per host chunk: one simulated 4 KB of slots.
+const CHUNK_SLOTS: usize = 256;
+
+/// The host allocation grain of a page.
+type Chunk = [Option<Slot>; CHUNK_SLOTS];
+
+/// One simulated page: a directory of chunks, each allocated on the
+/// first write into it. Chunk 0 sits in the page itself, so a page of
+/// one chunk (4 KB) is one host allocation, as a flat page was.
+#[derive(Clone)]
+struct Page {
+    first: Option<Box<Chunk>>,
+    rest: Box<[Option<Box<Chunk>>]>,
+}
+
+impl Page {
+    /// An empty page of `slots` slots.
+    fn new(slots: u64) -> Self {
+        Page {
+            first: None,
+            rest: vec![None; (slots as usize).div_ceil(CHUNK_SLOTS) - 1].into_boxed_slice(),
+        }
+    }
+
+    /// The chunk holding slot `in_page`, if allocated.
+    fn chunk(&self, in_page: usize) -> Option<&Chunk> {
+        match (in_page / CHUNK_SLOTS).checked_sub(1) {
+            None => self.first.as_deref(),
+            Some(c) => self.rest[c].as_deref(),
+        }
+    }
+
+    /// The directory entry of the chunk holding slot `in_page`.
+    fn entry(&mut self, in_page: usize) -> &mut Option<Box<Chunk>> {
+        match (in_page / CHUNK_SLOTS).checked_sub(1) {
+            None => &mut self.first,
+            Some(c) => &mut self.rest[c],
+        }
+    }
+}
 
 /// Sparse linear array of slots, with configurable page size.
 ///
@@ -36,7 +87,7 @@ pub struct ArrayStore {
     base: u64,
     page_size: u64,
     slots_per_page: u64,
-    pages: CowPages<Vec<Option<Slot>>>,
+    pages: CowPages<Page>,
     live: usize,
     /// `live` at the last [`PtrStore::capture_snapshot`].
     captured_live: usize,
@@ -44,7 +95,14 @@ pub struct ArrayStore {
 
 impl ArrayStore {
     /// Creates an array store based at simulated address `base` with the
-    /// given backing page size in bytes (4 KB or 2 MB in the paper).
+    /// given page size in bytes (4 KB or 2 MB in the paper).
+    ///
+    /// `page_size` is the simulated grain: page faults, `memory_bytes`,
+    /// the bytes a restore reports and the slot addresses the cache
+    /// model sees follow it. The host allocates 256-slot chunks within a
+    /// page as they are first written, so a 2 MB page costs the host
+    /// the chunks a run writes, which keeps a served request's fault and
+    /// restore of a superpage in proportion to its slots.
     pub fn new(base: u64, page_size: u64) -> Self {
         assert!(page_size >= SLOT_SIZE && page_size.is_multiple_of(SLOT_SIZE));
         let slots_per_page = page_size / SLOT_SIZE;
@@ -88,14 +146,30 @@ impl ArrayStore {
             // Never fault a page in just to record an absence.
             return t;
         }
-        let spp = self.slots_per_page as usize;
-        let (page, fault) = self.pages.get_or_insert_with(page_idx, || vec![None; spp]);
-        let delta = match (&page[in_page], &value) {
+        let slots = self.slots_per_page;
+        let (page, fault) = self.pages.get_or_insert_with(page_idx, || Page::new(slots));
+        // The write path above has split and logged the page either
+        // way; an absent chunk already reads empty, so clearing in it
+        // allocates nothing.
+        let old = match (page.entry(in_page), value) {
+            (None, None) => None,
+            (entry, value) => {
+                let chunk = entry.get_or_insert_with(|| {
+                    // Built on the heap: a 6 KB array would pass
+                    // through the stack.
+                    vec![None; CHUNK_SLOTS]
+                        .into_boxed_slice()
+                        .try_into()
+                        .expect("a chunk-long vector")
+                });
+                std::mem::replace(&mut chunk[in_page % CHUNK_SLOTS], value)
+            }
+        };
+        let delta = match (old, &value) {
             (None, Some(_)) => 1,
             (Some(_), None) => -1,
             _ => 0,
         };
-        page[in_page] = value;
         self.live = (self.live as isize + delta) as usize;
         t.page_fault = fault;
         t
@@ -114,7 +188,12 @@ impl PtrStore for ArrayStore {
     fn get(&mut self, addr: u64) -> (Option<Slot>, Touched) {
         let mut t = Touched::default();
         let (page_idx, in_page) = self.locate(addr, &mut t);
-        (self.pages.get(page_idx).and_then(|p| p[in_page]), t)
+        let slot = self
+            .pages
+            .get(page_idx)
+            .and_then(|p| p.chunk(in_page))
+            .and_then(|c| c[in_page % CHUNK_SLOTS]);
+        (slot, t)
     }
 
     fn clear(&mut self, addr: u64) -> Touched {
@@ -308,6 +387,83 @@ mod tests {
             assert_eq!(s.entry_count(), 1);
             assert_eq!(s.memory_bytes(), baseline_bytes);
         }
+    }
+
+    /// A 2 MB superpage: 1 MiB of keys, 512 chunks of 2 KiB of keys.
+    const SUPER: u64 = 2 << 20;
+    /// Keys per host chunk.
+    const CHUNK_KEYS: u64 = CHUNK_SLOTS as u64 * 8;
+
+    /// Host chunks `s` holds across its resident pages.
+    fn chunks(s: &ArrayStore, pages: impl IntoIterator<Item = u64>) -> usize {
+        pages
+            .into_iter()
+            .filter_map(|p| s.pages.get(p))
+            .map(|page| page.rest.iter().chain([&page.first]).flatten().count())
+            .sum()
+    }
+
+    #[test]
+    fn chunks_of_one_superpage_fault_once() {
+        let mut s = ArrayStore::new(BASE, SUPER);
+        let faults: Vec<bool> = [0, 5, 300]
+            .iter()
+            .map(|c| s.set(c * CHUNK_KEYS + 8, meta(*c)).page_fault)
+            .collect();
+        assert_eq!(faults, [true, false, false]);
+        assert_eq!(s.memory_bytes(), SUPER);
+        assert_eq!(chunks(&s, [0]), 3, "one host chunk per chunk written");
+    }
+
+    #[test]
+    fn restore_reverts_chunks_and_drops_a_run_superpage() {
+        let mut s = ArrayStore::new(BASE, SUPER);
+        let _ = s.set(0x100, meta(1)); // "loader" slot, chunk 0
+        s.capture_snapshot();
+        let _ = s.set(0x108, meta(2)); // chunk 0 again
+        let _ = s.set(7 * CHUNK_KEYS, meta(3)); // chunk 7
+        assert!(s.set(1 << 20, meta(4)).page_fault, "a second superpage");
+        assert_eq!((s.memory_bytes(), chunks(&s, [0, 1])), (2 * SUPER, 3));
+
+        assert_eq!(s.restore_snapshot(), SUPER, "one baseline page back");
+        assert_eq!(s.get(0x100).0, Some(meta(1)));
+        assert_eq!(s.get(0x108).0, None);
+        assert_eq!(s.get(7 * CHUNK_KEYS).0, None);
+        assert_eq!(s.get(1 << 20).0, None);
+        assert_eq!((s.memory_bytes(), s.entry_count()), (SUPER, 1));
+        assert!(
+            s.pages.get(1).is_none(),
+            "the run page went with its chunks"
+        );
+        assert_eq!(chunks(&s, [0]), 1);
+    }
+
+    #[test]
+    fn clearing_an_absent_slot_dirties_the_page_without_a_chunk() {
+        let mut s = ArrayStore::new(BASE, SUPER);
+        let _ = s.set(0x100, meta(1));
+        s.capture_snapshot();
+        let t = s.clear(9 * CHUNK_KEYS);
+        assert!(!t.page_fault);
+        assert_eq!(chunks(&s, [0]), 1, "no chunk for an absence");
+        assert_eq!(s.entry_count(), 1);
+        // The clear took the write path, so the page is restored.
+        assert_eq!(s.restore_snapshot(), SUPER);
+        assert_eq!(s.get(0x100).0, Some(meta(1)));
+    }
+
+    #[test]
+    fn a_fork_writing_a_shared_chunk_leaves_the_original_alone() {
+        let mut original = ArrayStore::new(BASE, SUPER);
+        let _ = original.set(CHUNK_KEYS, meta(1));
+        original.capture_snapshot();
+        let mut fork = original.clone();
+        let _ = fork.set(CHUNK_KEYS, meta(2));
+        let _ = fork.set(CHUNK_KEYS + 8, meta(3));
+        assert_eq!(original.get(CHUNK_KEYS).0, Some(meta(1)));
+        assert_eq!(original.get(CHUNK_KEYS + 8).0, None);
+        assert_eq!(fork.get(CHUNK_KEYS).0, Some(meta(2)));
+        assert_eq!(original.restore_snapshot(), 0, "the original is clean");
     }
 
     #[test]

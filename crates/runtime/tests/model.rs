@@ -185,16 +185,18 @@ fn check_kind(kind: StoreKind, ops: &[Op]) {
     }
 }
 
-/// Slot `s` of the 32 around the `p`-th 1 MiB boundary, a host-page
-/// boundary of all four organizations (a superpage covers 1 MiB of
-/// keys).
-fn wide_addr(p: u64, s: u64) -> u64 {
-    (p << 20) - 0x80 + s * 8
+/// Slot `s` of the 32 around a boundary near the `p`-th 1 MiB of keys:
+/// for `b` = 0 the 1 MiB boundary itself, a page boundary of all four
+/// organizations (a superpage covers 1 MiB of keys); for `b` = 1 the
+/// boundary 2 KiB of keys into that superpage, between two of its
+/// 256-slot host chunks.
+fn wide_addr(p: u64, b: u64, s: u64) -> u64 {
+    (p << 20) + b * 0x800 - 0x80 + s * 8
 }
 
 /// Every address the lifecycle ops may name.
 fn wide_addrs() -> impl Iterator<Item = u64> {
-    (1..4u64).flat_map(|p| (0..32u64).map(move |s| wide_addr(p, s)))
+    (1..4u64).flat_map(|p| (0..64u64).map(move |i| wide_addr(p, i / 32, i % 32)))
 }
 
 #[derive(Debug, Clone)]
@@ -206,7 +208,7 @@ enum LifeOp {
 }
 
 fn life_op_strategy() -> impl Strategy<Value = LifeOp> {
-    let addr = (1..4u64, 0..32u64).prop_map(|(p, s)| wide_addr(p, s));
+    let addr = (1..4u64, 0..2u64, 0..32u64).prop_map(|(p, b, s)| wide_addr(p, b, s));
     prop_oneof![
         8 => ops_over(addr).prop_map(LifeOp::Op),
         1 => Just(LifeOp::Capture),

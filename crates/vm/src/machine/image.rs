@@ -7,9 +7,11 @@
 //! configurations share it) and the tables that describe its layout —
 //! where each function and global lives, which addresses are return
 //! sites, each function's frame descriptor, the check-site numbering
-//! and the compiled bytecode. They are built once per boot and shared,
-//! behind an `Arc`, by every fork, snapshot restore and loader reset of
-//! that machine, so a machine borrows nothing.
+//! and the compiled bytecode. They are built once per boot (the
+//! bytecode on the first run, the check-site numbering on the first
+//! profiled one) and shared, behind an `Arc`, by every fork, snapshot
+//! restore and loader reset of that machine, so a machine borrows
+//! nothing.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -42,10 +44,41 @@ pub(crate) struct Compiled {
     /// Fusion plan counts (all-zero when fusion is off).
     pub fuse_stats: FuseStats,
     /// Per function, `pc → check-site index` of each check-shaped
-    /// opcode: the same numbering as [`Image::check_sites`], because
-    /// compilation flattens blocks in order and fusion replaces
+    /// opcode, built on first read (only the profiler reads it): the
+    /// same numbering as the walker's map (see [`Image::check_site`]),
+    /// because compilation flattens blocks in order and fusion replaces
     /// adjacent pairs in place.
-    pub check_sites: Vec<HashMap<u32, u32, FastHash>>,
+    check_sites: OnceLock<Vec<HashMap<u32, u32, FastHash>>>,
+}
+
+impl Compiled {
+    /// The per-function `pc → check-site index` maps.
+    fn check_sites(&self) -> &[HashMap<u32, u32, FastHash>] {
+        self.check_sites.get_or_init(|| {
+            self.bc
+                .funcs
+                .iter()
+                .map(|f| {
+                    let mut sites = HashMap::default();
+                    let mut pc = 0;
+                    while pc < f.code.len() {
+                        if matches!(
+                            Op::from_u32(f.code[pc]),
+                            Op::Check
+                                | Op::FnCheck
+                                | Op::CheckLoad
+                                | Op::CheckPtrLoad
+                                | Op::CheckedCall
+                        ) {
+                            sites.insert(pc as u32, sites.len() as u32);
+                        }
+                        pc += op_len(&f.code, pc);
+                    }
+                    sites
+                })
+                .collect()
+        })
+    }
 }
 
 /// The immutable half of a machine (see the module docs).
@@ -83,16 +116,17 @@ pub(crate) struct Image {
     /// Per-function frame descriptors (shared by both engines).
     pub frame_descs: Vec<FrameDesc>,
     /// `(func, block, ip) → site index` of every CPI `Check`/`FnCheck`,
-    /// numbered per function in program order.
-    pub check_sites: HashMap<(u32, u32, u32), u32, FastHash>,
+    /// numbered per function in program order, built on first read
+    /// (only the profiler reads it).
+    check_sites: OnceLock<HashMap<(u32, u32, u32), u32, FastHash>>,
     fusion: bool,
     compiled: OnceLock<Compiled>,
 }
 
 impl Image {
     /// Lays `module` out under `config`: draws the layout and cookie
-    /// from the seed, places every function, return site, intrinsic and
-    /// global, and numbers the check sites.
+    /// from the seed and places every function, return site, intrinsic
+    /// and global.
     pub fn new(module: Arc<Module>, config: &VmConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0x5afe_5afe);
         let layout = if config.aslr || config.isolation == Isolation::InfoHiding {
@@ -114,7 +148,7 @@ impl Image {
             intrinsic_addrs: HashMap::new(),
             sig_hashes: Vec::with_capacity(module.funcs.len()),
             frame_descs: Vec::with_capacity(module.funcs.len()),
-            check_sites: HashMap::default(),
+            check_sites: OnceLock::new(),
             fusion: config.fusion,
             compiled: OnceLock::new(),
             module,
@@ -140,15 +174,6 @@ impl Image {
                 let site = site as u32;
                 image.site_of_call.insert((fid.0, bid.0, ip), site);
                 image.ret_sites.insert(image.ret_site(fid.0, site), fid);
-            }
-            let mut next = 0;
-            for (bid, block) in f.iter_blocks() {
-                for (ip, inst) in block.insts.iter().enumerate() {
-                    if let Inst::Cpi(CpiOp::Check { .. } | CpiOp::FnCheck { .. }) = inst {
-                        image.check_sites.insert((fid.0, bid.0, ip as u32), next);
-                        next += 1;
-                    }
-                }
             }
         }
         let mut ro_cursor = layout.rodata_base;
@@ -200,32 +225,10 @@ impl Image {
             } else {
                 FuseStats::default()
             };
-            let check_sites = bc
-                .funcs
-                .iter()
-                .map(|f| {
-                    let mut sites = HashMap::default();
-                    let mut pc = 0;
-                    while pc < f.code.len() {
-                        if matches!(
-                            Op::from_u32(f.code[pc]),
-                            Op::Check
-                                | Op::FnCheck
-                                | Op::CheckLoad
-                                | Op::CheckPtrLoad
-                                | Op::CheckedCall
-                        ) {
-                            sites.insert(pc as u32, sites.len() as u32);
-                        }
-                        pc += op_len(&f.code, pc);
-                    }
-                    sites
-                })
-                .collect();
             Compiled {
                 bc,
                 fuse_stats,
-                check_sites,
+                check_sites: OnceLock::new(),
             }
         })
     }
@@ -236,16 +239,36 @@ impl Image {
         self.compiled.get().map(|c| c.fuse_stats)
     }
 
+    /// The `(func, block, ip) → site index` map.
+    fn check_sites(&self) -> &HashMap<(u32, u32, u32), u32, FastHash> {
+        self.check_sites.get_or_init(|| {
+            let mut sites = HashMap::default();
+            for (fid, f) in self.module.iter_funcs() {
+                let mut next = 0;
+                for (bid, block) in f.iter_blocks() {
+                    for (ip, inst) in block.insts.iter().enumerate() {
+                        if let Inst::Cpi(CpiOp::Check { .. } | CpiOp::FnCheck { .. }) = inst {
+                            sites.insert((fid.0, bid.0, ip as u32), next);
+                            next += 1;
+                        }
+                    }
+                }
+            }
+            sites
+        })
+    }
+
     /// Resolves an engine-side check coordinate to `(func, site index)`.
     pub fn check_site(&self, site: CheckSite) -> Option<(u32, u32)> {
         match site {
-            CheckSite::Ir(func, block, ip) => {
-                self.check_sites.get(&(func, block, ip)).map(|&i| (func, i))
-            }
+            CheckSite::Ir(func, block, ip) => self
+                .check_sites()
+                .get(&(func, block, ip))
+                .map(|&i| (func, i)),
             CheckSite::Bc(func, pc) => self
                 .compiled
                 .get()?
-                .check_sites
+                .check_sites()
                 .get(func as usize)?
                 .get(&pc)
                 .map(|&i| (func, i)),
